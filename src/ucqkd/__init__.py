@@ -13,8 +13,9 @@ Layered structure:
   confidence-bound solvers.
 - ``compression``: universal decoders via operator division and the
   error-exponent bound, with exact desk-scale simulation.
-- ``optimize``: certified log-barrier SDP, facial reduction, and concave
-  maximization by sequential linearization.
+- ``optimize``: certified log-barrier SDP, facial reduction, concave
+  maximization by sequential linearization, and one alternating divergence
+  minimizer; both share one fully-corrective Frank-Wolfe weight step.
 - ``b92``: protocol POVMs, acceptance sets, finite-size key lengths for the
   universal and phase-error-pattern analyses, and asymptotic rates with the
   Devetak-Winter cross-check.

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 from .entropies import (
-    LN2,
     alpha_heuristic,
     binary_entropy,
     log2_fq_factor,
@@ -36,7 +35,7 @@ from .optimize import (
     FeasibleSet,
     MaximizeResult,
     facial_reduce,
-    pinch,
+    joint_divergence_minimizer,
     renyi_objective_and_gradient,
     sequential_linearization,
     solve_linear_sdp,
@@ -77,10 +76,6 @@ class B92Config:
     eps_cor: float = 2.0**-50
     alpha_renyi: float | str = "auto"
     seed: int = 0
-    # "conditional" groups the pattern frequencies by the bit label (entropy
-    # of the phase pattern given the bit information, the sound choice);
-    # "displayed" groups by the phase label instead.
-    phase_entropy_grouping: str = "conditional"
 
     def __post_init__(self):
         if not 0.0 < self.amp < 1.0 / math.sqrt(2.0):
@@ -92,8 +87,6 @@ class B92Config:
             raise UsageError("all splits must be positive")
         if self.alpha_renyi != "auto" and not 0.0 < float(self.alpha_renyi) < 1.0:
             raise UsageError("alpha_renyi must lie in (0,1) or be 'auto'")
-        if self.phase_entropy_grouping not in ("displayed", "conditional"):
-            raise UsageError("unknown phase_entropy_grouping")
 
 
 @dataclass
@@ -279,7 +272,9 @@ def sample_observed(
     n_extr, n_test, n_trash = cfg.splits
     n_sift = int(rng.binomial(n_extr, q.q_fil))
     n_suc = int(rng.binomial(n_test, q.q_fil))
-    n_err = int(rng.binomial(n_suc, q.q_bit / q.q_fil if q.q_fil > 0 else 0.0))
+    # q_bit comes out as -4e-18 at p = 0; clamp the ratio into [0, 1]
+    e_bit = min(max(q.q_bit / q.q_fil, 0.0), 1.0) if q.q_fil > 0 else 0.0
+    n_err = int(rng.binomial(n_suc, e_bit))
     a2 = cfg.amp**2
     nbar3 = math.ceil(n_trash * (a2 + solve_delta1(a2, n_trash, log2_eps=log2_eps1)))
     return ObservedStats(n_sift=n_sift, n_suc=n_suc, n_err=n_err, nbar3=min(nbar3, n_trash))
@@ -596,28 +591,25 @@ def outcome_operators(povms: PovmSet) -> list[np.ndarray]:
     ]
 
 
-def phase_entropy(q4: np.ndarray, grouping: str = "displayed") -> float:
+def phase_entropy(q4: np.ndarray, grouping: str = "conditional") -> float:
     """Pattern-counting exponent on the four sifted outcomes (P00,P01,P10,P11),
-    normalized by their sum.  "displayed" groups (P00,P10)/(P01,P11);
-    "conditional" groups (P00,P01)/(P10,P11)."""
-    val, _ = phase_entropy_and_gradient(q4, grouping)
+    normalized by their sum: the entropy of the phase pattern given the bit
+    information, grouping (P00,P01)/(P10,P11).  `grouping` accepts only
+    "conditional"; it stays so that callers passing it keep working."""
+    if grouping != "conditional":
+        raise UsageError("unknown grouping")
+    val, _ = phase_entropy_and_gradient(q4)
     return val
 
 
-def phase_entropy_and_gradient(q4, grouping: str = "displayed"):
+def phase_entropy_and_gradient(q4):
     q = np.asarray(q4, dtype=float)
-    if grouping == "displayed":
-        pairs = ((0, 2), (1, 3))
-    elif grouping == "conditional":
-        pairs = ((0, 1), (2, 3))
-    else:
-        raise UsageError("unknown grouping")
     s = float(q.sum())
     if s <= 0:
         return 0.0, np.zeros(4)
     num = 0.0
     gnum = np.zeros(4)
-    for i, j in pairs:
+    for i, j in ((0, 1), (2, 3)):
         a, b = max(q[i], 0.0), max(q[j], 0.0)
         t = a + b
         if t <= 0:
@@ -635,82 +627,30 @@ def phase_entropy_and_gradient(q4, grouping: str = "displayed"):
     return float(val), grad
 
 
-def _pattern_objective(povms: PovmSet, grouping: str):
+def _pattern_objective(povms: PovmSet):
     ops = outcome_operators(povms)
 
     def objective(rho):
         q = np.array([float(np.trace(O @ rho).real) for O in ops[:4]])
-        val, g = phase_entropy_and_gradient(q, grouping)
+        val, g = phase_entropy_and_gradient(q)
         grad = sum(g[i] * ops[i] for i in range(4))
         return val, 0.5 * (grad + grad.conj().T)
 
     return objective
 
 
-def _divergence_total(p4, q5fix, qvec):
-    """D(p || q(rho)) in bits with p = (p4, q5fix) and q5fix fixed."""
-    total = 0.0
-    for pi, qi in zip(list(p4) + [q5fix], qvec):
-        if pi > 0:
-            if qi <= 0:
-                return math.inf
-            total += pi * math.log2(pi / qi)
-    return total
+def _min_divergence(fs, ops, gamma, thresh, q5fix):
+    """min over p = ((1 - q5fix) u, q5fix), with the sifted part u in the
+    halfspace <gamma,u> >= thresh, and rho feasible of D(p||q(rho))."""
+
+    def project(q):
+        u, _ = tilted_projection(np.clip(q[:4], 0.0, None), gamma, thresh)
+        return np.append((1.0 - q5fix) * u, q5fix)
+
+    return joint_divergence_minimizer(ops, fs, project)
 
 
-def _min_divergence(fs, ops, gamma, thresh, q5fix, tol=1e-8, max_iter=60):
-    """min over p (sifted part in the halfspace <gamma,u> >= thresh) and rho
-    feasible of D(p||q(rho)); alternating exact p-projection / FCFW rho-step."""
-    from .optimize import _phase_one, herm_basis
-
-    rho, _ = _phase_one(fs, herm_basis(fs.dim))
-    atoms = [rho]
-    weights = np.array([1.0])
-
-    def qvec(r):
-        return np.array([float(np.trace(O @ r).real) for O in ops])
-
-    prev = math.inf
-    for _ in range(max_iter):
-        rho = np.einsum("i,ijk->jk", weights, np.array(atoms))
-        q = qvec(rho)
-        s4 = max(q[:4].sum(), 1e-300)
-        w = np.clip(q[:4], 0.0, None) / s4
-        u, _ = tilted_projection(w, gamma, thresh)
-        p4 = (1.0 - q5fix) * u
-        div = _divergence_total(p4, q5fix, q)
-        if abs(prev - div) <= tol * max(1.0, abs(div)):
-            return div, p4, rho
-        prev = div
-
-        grad = -sum(
-            (pi / (max(qi, 1e-300) * LN2)) * O
-            for pi, qi, O in zip(list(p4) + [q5fix], q, ops)
-        )
-        grad = 0.5 * (grad + grad.conj().T)
-        res = solve_linear_sdp(-grad, fs, gap_tol=1e-8)
-        atoms.append(res.rho)
-
-        def neg(wv):
-            r = np.einsum("i,ijk->jk", wv, np.array(atoms))
-            return _divergence_total(p4, q5fix, qvec(r))
-
-        w0 = np.concatenate([weights * 0.95, [0.05]])
-        resw = minimize(
-            neg, w0, method="SLSQP", bounds=[(0.0, 1.0)] * len(atoms),
-            constraints=[{"type": "eq", "fun": lambda wv: np.sum(wv) - 1.0}],
-            options={"maxiter": 150, "ftol": 1e-13},
-        )
-        weights = np.clip(resw.x, 0.0, None)
-        weights = weights / weights.sum()
-        keep = weights > 1e-12
-        if keep.sum() < len(atoms):
-            atoms = [a for a, k in zip(atoms, keep) if k]
-            weights = weights[keep] / weights[keep].sum()
-    return prev, p4, rho
-
-
-def _max_entropy_halfspace(gamma, thresh, grouping, restarts=12, seed=0):
+def _max_entropy_halfspace(gamma, thresh, restarts=12, seed=0):
     """max of the pattern exponent over u in the 4-simplex, <gamma,u> <= thresh."""
     rng = np.random.default_rng(seed)
     best = 0.0
@@ -723,7 +663,7 @@ def _max_entropy_halfspace(gamma, thresh, grouping, restarts=12, seed=0):
         if float(gamma @ u0) > thresh:
             continue
         res = minimize(
-            lambda u: -phase_entropy(np.clip(u, 0.0, 1.0), grouping),
+            lambda u: -phase_entropy(np.clip(u, 0.0, 1.0)),
             u0, method="SLSQP", bounds=[(0.0, 1.0)] * 4, constraints=cons,
             options={"maxiter": 300, "ftol": 1e-12},
         )
@@ -745,7 +685,6 @@ def conventional_key_length(
     n_extr, n_test, _ = cfg.splits
     fs = constraint_set_B(stats, cfg.splits, budget.log2_eps2, povms)
     ops = outcome_operators(povms)
-    grouping = cfg.phase_entropy_grouping
     n1 = stats.n_sift
     ec = _ec_cost(stats, budget)
     eps = achieved_eps_sec(budget.log2_eps1, budget.log2_eps2, cfg.n_tot, budget.s)
@@ -757,11 +696,11 @@ def conventional_key_length(
         return replace(base, clamped=True)
     q5fix = 1.0 - n1 / n_extr
 
-    res = _maximize_entropy(_pattern_objective(povms, grouping), fs, 1e-8, 40)
+    res = _maximize_entropy(_pattern_objective(povms), fs, 1e-8, 40)
     qstar = np.array([float(np.trace(O @ res.sigma).real) for O in ops])
     ustar = np.clip(qstar[:4], 0.0, None)
     ustar = ustar / ustar.sum()
-    _, gamma = phase_entropy_and_gradient(qstar[:4], grouping)
+    _, gamma = phase_entropy_and_gradient(qstar[:4])
 
     target = (-budget.log2_eps2) / n_extr
     t0 = float(gamma @ ustar)
@@ -774,14 +713,14 @@ def conventional_key_length(
     if t_hi - t0 < 1e-12 or gap(t_hi - 1e-12 * max(1.0, abs(t_hi))) < 0.0:
         # the halfspace cannot be pushed far enough: no exclusion, use the
         # whole simplex (valid, pessimistic)
-        max_h = _max_entropy_halfspace(gamma, math.inf, grouping, seed=cfg.seed)
+        max_h = _max_entropy_halfspace(gamma, math.inf, seed=cfg.seed)
     else:
         g0 = gap(t0)
         if g0 >= 0.0:
             tstar = t0
         else:
             tstar = brentq(gap, t0, t_hi, xtol=1e-12, rtol=1e-10)
-        max_h = _max_entropy_halfspace(gamma, tstar, grouping, seed=cfg.seed)
+        max_h = _max_entropy_halfspace(gamma, tstar, seed=cfg.seed)
         max_h = max(max_h, res.upper_bound)
 
     n_fin = n1 * (1.0 - max_h) - budget.s
@@ -833,9 +772,7 @@ def asymptotic_rates(cfg: B92Config, p: float) -> dict:
     ec = binary_entropy(min(e_bit, 0.5))
 
     uni = _maximize_entropy(_vn_objective(cfg, q.q_fil), fs, 1e-9, 60)
-    conv = _maximize_entropy(
-        _pattern_objective(povms, cfg.phase_entropy_grouping), fs, 1e-9, 60
-    )
+    conv = _maximize_entropy(_pattern_objective(povms), fs, 1e-9, 60)
     dw = devetak_winter_rate(cfg, uni.sigma, q.q_fil)
     # the certified entropy upper bounds give pessimistic (secure) rates
     return {

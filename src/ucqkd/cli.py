@@ -173,13 +173,13 @@ def cmd_compress_sim(args: argparse.Namespace) -> int:
 _KEYRATE_DEFAULTS = {
     "analysis": "both", "depol": None, "depol_grid": None, "ntot": "1e9",
     "eps_sec": "2^-50", "eps_cor": "2^-50", "amp": 0.38, "alpha": "auto",
-    "grouping": "conditional", "seed": 0, "jobs": None,
+    "seed": 0, "jobs": None,
     "out": None, "svg": None,
 }
 
 _ASYMPTOTIC_DEFAULTS = {
     "depol": None, "depol_grid": "0:0.06:0.005", "amp": 0.38,
-    "grouping": "conditional", "seed": 0, "jobs": None,
+    "seed": 0, "jobs": None,
     "out": None, "svg": None,
 }
 
@@ -203,7 +203,6 @@ def _keyrate_point(task: dict) -> dict:
         amp=task["amp"], n_tot=task["n_tot"],
         target_eps_sec=task["eps_sec"], eps_cor=task["eps_cor"],
         alpha_renyi=task["alpha"], seed=task["seed"],
-        phase_entropy_grouping=task["grouping"],
     )
     analysis = task["analysis"]
     p = task["p"]
@@ -238,8 +237,7 @@ def _keyrate_point(task: dict) -> dict:
 
 
 def _asymptotic_point(task: dict) -> dict:
-    cfg = b92.B92Config(amp=task["amp"], seed=task["seed"],
-                        phase_entropy_grouping=task["grouping"])
+    cfg = b92.B92Config(amp=task["amp"], seed=task["seed"])
     rates = b92.asymptotic_rates(cfg, task["p"])
     return {"p": task["p"], "rates": rates}
 
@@ -293,8 +291,7 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
                     "analysis": analysis, "amp": float(opts["amp"]),
                     "eps_sec": parse_eps(opts["eps_sec"]),
                     "eps_cor": parse_eps(opts["eps_cor"]),
-                    "alpha": alpha, "grouping": opts["grouping"],
-                    "seed": int(opts["seed"]),
+                    "alpha": alpha, "seed": int(opts["seed"]),
                 })
     rows = _run_pool(_keyrate_point, tasks, opts["jobs"])
     _write_text(opts["out"], _rows_to_csv(rows))
@@ -313,7 +310,7 @@ def cmd_keyrate_asymptotic(args: argparse.Namespace) -> int:
     pvals = _depol_values(opts)
     tasks = [{
         "index": i, "p": p, "amp": float(opts["amp"]),
-        "grouping": opts["grouping"], "seed": int(opts["seed"]),
+        "seed": int(opts["seed"]),
     } for i, p in enumerate(pvals)]
     results = _run_pool(_asymptotic_point, tasks, opts["jobs"])
     rows = []
@@ -637,7 +634,6 @@ def build_parser() -> _Parser:
     kr.add_argument("--eps-cor", dest="eps_cor", help="e.g. 2^-50")
     kr.add_argument("--amp", type=float)
     kr.add_argument("--alpha", help="Renyi order in (0,1), or 'auto'")
-    kr.add_argument("--grouping", choices=("conditional", "displayed"))
     kr.add_argument("--seed", type=int)
     kr.add_argument("--jobs", type=int)
     kr.add_argument("--out")
@@ -649,7 +645,6 @@ def build_parser() -> _Parser:
     ka.add_argument("--depol", help="comma list of depolarization values")
     ka.add_argument("--depol-grid", dest="depol_grid", help="start:stop:step")
     ka.add_argument("--amp", type=float)
-    ka.add_argument("--grouping", choices=("conditional", "displayed"))
     ka.add_argument("--seed", type=int)
     ka.add_argument("--jobs", type=int)
     ka.add_argument("--out")

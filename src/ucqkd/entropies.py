@@ -13,7 +13,7 @@ handled by the dedicated von Neumann path, never by a limiting formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -97,8 +97,15 @@ def quantum_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 def _sibson_from_blocks(blocks, alpha: float) -> float:
     """-(a/(a-1)) log2 Tr[(sum_x A_x^a)^(1/a)] on (sub)normalized blocks A_x."""
     s = sum(mpow(b, alpha) for b in blocks)
-    val = np.trace(mpow(s, 1.0 / alpha)).real
-    return -(alpha / (alpha - 1.0)) * math.log2(max(val, 1e-300))
+    # log2 Tr[s^(1/a)] in log form: s^(1/a) overflows for small a
+    lam = herm_eig(s)[0]
+    lam = lam[lam >= EIG_CLAMP]
+    if lam.size == 0:
+        log2_tr = math.log2(1e-300)
+    else:
+        top = lam.max()
+        log2_tr = math.log2(top) / alpha + math.log2(float(np.sum((lam / top) ** (1.0 / alpha))))
+    return -(alpha / (alpha - 1.0)) * log2_tr
 
 
 def conditional_renyi_sibson(source, alpha: float) -> float:
@@ -227,19 +234,6 @@ def relative_entropy_variance(rho: np.ndarray, sigma: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScalarSolverConfig:
-    absTol: float = 1e-12
-    maxIter: int = 200
-
-    def __post_init__(self):
-        if self.absTol <= 0:
-            raise UsageError("absTol must be positive")
-
-
-DEFAULT_SOLVER = ScalarSolverConfig()
-
-
 def binary_relative_entropy(p: float, q: float) -> float:
     """D(p||q) in bits; +inf when q in {0,1} disagrees with p."""
     if not (0 <= p <= 1 and 0 <= q <= 1):
@@ -248,12 +242,12 @@ def binary_relative_entropy(p: float, q: float) -> float:
     return float(val) / LN2 if math.isfinite(val) else math.inf
 
 
-def _bisect_monotone(f, lo: float, hi: float, cfg: ScalarSolverConfig):
+def _bisect_monotone(f, lo: float, hi: float):
     """Root of increasing f on [lo, hi] via Brent with a residual guarantee."""
     flo, fhi = f(lo), f(hi)
     if flo > 0 or fhi < 0:
         raise DomainError("root finder: no sign change on the given bracket")
-    root = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=cfg.maxIter)
+    root = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     return float(root)
 
 
@@ -274,7 +268,6 @@ def solve_delta1(
     p: float,
     n: int,
     eps: float | None = None,
-    cfg: ScalarSolverConfig = DEFAULT_SOLVER,
     *,
     log2_eps: float | None = None,
 ) -> float:
@@ -289,14 +282,13 @@ def solve_delta1(
     if p > 0 and target > -math.log2(p):
         return 1.0 - p
     f = lambda delta: binary_relative_entropy(p + delta, p) - target
-    return _bisect_monotone(f, 0.0, 1.0 - p, cfg)
+    return _bisect_monotone(f, 0.0, 1.0 - p)
 
 
 def solve_delta2(
     p: float,
     n: int,
     eps: float | None = None,
-    cfg: ScalarSolverConfig = DEFAULT_SOLVER,
     *,
     log2_eps: float | None = None,
 ) -> float:
@@ -314,7 +306,7 @@ def solve_delta2(
     hi = 1.0 - p
     if f(hi) < 0:  # target beyond D(p||1) = inf cannot happen for p<1; guard p~1
         raise DomainError("delta_2: no root below 1-p")
-    return _bisect_monotone(f, 0.0, hi, cfg)
+    return _bisect_monotone(f, 0.0, hi)
 
 
 def solve_r_err(
@@ -322,7 +314,6 @@ def solve_r_err(
     n_suc: float,
     n_err: float,
     eps_cor: float,
-    cfg: ScalarSolverConfig = DEFAULT_SOLVER,
 ) -> float:
     """Bit-error-rate bound r with D(n_err/n_suc || (n_sift r + n_err)/(n_sift+n_suc))
     = -log2(eps_cor)/(n_sift+n_suc)."""
@@ -342,7 +333,7 @@ def solve_r_err(
         raise DomainError("r_err: required confidence unreachable (rate bound > 1)")
     if target == 0.0:
         return p_obs
-    return _bisect_monotone(f, lo, hi, cfg)
+    return _bisect_monotone(f, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,6 @@ def herm_eig(A: np.ndarray):
     return np.linalg.eigh(0.5 * (A + np.asarray(A, dtype=complex).conj().T))
 
 
-def herm_fun(A: np.ndarray, f) -> np.ndarray:
-    lam, U = herm_eig(A)
-    return (U * f(lam)) @ U.conj().T
-
-
 def mpow(A: np.ndarray, p: float, clamp: float = EIG_CLAMP) -> np.ndarray:
     """A**p for Hermitian PSD A, clamping eigenvalues below `clamp` to 0.
 

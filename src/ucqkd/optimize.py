@@ -461,26 +461,32 @@ class MaximizeResult:
         return self.upper_bound - self.value
 
 
-def _fcfw_weights(objective, atoms, w0):
-    """Maximize objective(sum_i w_i atom_i) over the simplex via SLSQP."""
-    k = len(atoms)
-    if k == 1:
-        return np.array([1.0])
+def _fcfw_step(objective, atoms, weights, vertex):
+    """One fully-corrective Frank-Wolfe step: append the oracle vertex and
+    re-solve all weights over the simplex, maximizing
+    objective(sum_i w_i atom_i) with the weight gradient Tr[G A_i] taken
+    from the objective's own gradient G.  Dead atoms are pruned."""
+    atoms = atoms + [np.asarray(vertex, dtype=complex)]
     stack = np.array(atoms)
+    k = len(atoms)
 
     def neg(w):
-        return -objective(np.einsum("i,ijk->jk", w, stack))[0]
+        val, grad = objective(np.einsum("i,ijk->jk", w, stack))
+        return -val, -np.einsum("kj,ijk->i", grad, stack).real
 
     res = minimize(
         neg,
-        w0,
+        np.concatenate([weights * (1.0 - 1e-2), [1e-2]]),
+        jac=True,
         method="SLSQP",
         bounds=[(0.0, 1.0)] * k,
-        constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}],
-        options={"maxiter": 120, "ftol": 1e-12},
+        constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0,
+                      "jac": lambda w: np.ones(k)}],
+        options={"maxiter": 150, "ftol": 1e-13},
     )
     w = np.clip(res.x, 0.0, None)
-    return w / w.sum()
+    keep = w > 1e-12 * w.sum()
+    return [a for a, kept in zip(atoms, keep) if kept], w[keep] / w[keep].sum()
 
 
 def sequential_linearization(
@@ -521,15 +527,7 @@ def sequential_linearization(
         upper = min(upper, lin_upper)
         if upper - best_val <= max(tol, 2.0 * sdp_gap_tol):
             break
-        atoms.append(res.rho)
-        w0 = np.concatenate([weights * (1 - 1e-2), [1e-2]])
-        weights = _fcfw_weights(objective, atoms, w0)
-        # prune dead atoms to keep the correction cheap
-        keep = weights > 1e-12
-        if keep.sum() < len(atoms):
-            atoms = [a for a, k in zip(atoms, keep) if k]
-            weights = weights[keep]
-            weights = weights / weights.sum()
+        atoms, weights = _fcfw_step(objective, atoms, weights, res.rho)
     return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma, iterations=it)
 
 
@@ -562,7 +560,9 @@ def tilted_projection(q: np.ndarray, gamma: np.ndarray, c: float, tol: float = 1
     if sup < c - tol:
         raise DomainError("halfspace unreachable from the support of q")
     hi = 1.0
-    while float(gamma @ mean(hi)) < c and hi < 1e8:
+    # cap t by the scale of gamma: the tilt acts through t * gamma only
+    t_cap = 1e8 / np.ptp(gamma)
+    while float(gamma @ mean(hi)) < c and hi < t_cap:
         hi *= 2.0
     if float(gamma @ mean(hi)) < c:
         raise DomainError("tilting failed to reach the halfspace boundary")
@@ -582,69 +582,45 @@ def divergence_bits(p: np.ndarray, q: np.ndarray) -> float:
 
 def joint_divergence_minimizer(
     q_mats: list[np.ndarray],
-    q_offsets: np.ndarray,
     fs: FeasibleSet,
-    gamma: np.ndarray,
-    c: float,
-    tol: float = 1e-9,
-    max_iter: int = 200,
+    project,
+    tol: float = 1e-8,
+    max_iter: int = 60,
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """min D(p||q(rho)) over p in {<gamma,p> >= c} and rho feasible, where
-    q_i(rho) = Tr[Q_i rho] + offset_i is an affine probability vector.
+    """min D(p||q(rho)) over p in a convex set and rho feasible, where
+    q_i(rho) = Tr[Q_i rho] and project(q) returns the exact minimizer of
+    D(p||q) over that set (the p-step).
 
-    Alternates the exact tilted projection in p with a fully-corrective
-    Frank-Wolfe step in rho (D(p||q) is convex in q and q is affine in rho).
-    Returns (divergence in bits, p, rho).
+    Alternates the p-step with a fully-corrective Frank-Wolfe step in rho
+    (D(p||q) is convex in q and q is linear in rho).  Returns (divergence in
+    bits, p, rho).
     """
     q_mats = [np.asarray(Q, dtype=complex) for Q in q_mats]
-    q_offsets = np.asarray(q_offsets, dtype=float)
-    basis = herm_basis(fs.dim)
-    rho, _ = _phase_one(fs, basis)
+    rho, _ = _phase_one(fs, herm_basis(fs.dim))
     atoms = [rho]
     weights = np.array([1.0])
 
     def q_of(r):
-        return np.array([float(np.trace(Q @ r).real) for Q in q_mats]) + q_offsets
-
-    def obj_rho(p):
-        def f(r):
-            q = np.clip(q_of(r), 1e-300, None)
-            val = -float(np.sum(p[p > 0] * np.log2(q[p > 0])))
-            grad = -sum(
-                (p[i] / (q[i] * LN2)) * q_mats[i] for i in range(len(p)) if p[i] > 0
-            )
-            return val, 0.5 * (grad + grad.conj().T)
-
-        return f
+        return np.array([float(np.trace(Q @ r).real) for Q in q_mats])
 
     prev = math.inf
     p = None
-    for it in range(max_iter):
+    for _ in range(max_iter):
         rho = np.einsum("i,ijk->jk", weights, np.array(atoms))
-        q = np.clip(q_of(rho), 0.0, None)
-        p, _ = tilted_projection(q, gamma, c)
-        div = divergence_bits(p, q_of(rho))
+        q = q_of(rho)
+        p = project(q)
+        div = divergence_bits(p, q)
         if abs(prev - div) <= tol * max(1.0, abs(div)):
             return div, p, rho
         prev = div
-        f = obj_rho(p)
-        _, grad = f(rho)
-        res = solve_linear_sdp(-grad, fs, gap_tol=1e-8)  # minimize Tr[grad rho]
-        atoms.append(res.rho)
-        w0 = np.concatenate([weights * (1 - 0.05), [0.05]])
-        kneg = lambda w: f(np.einsum("i,ijk->jk", w, np.array(atoms)))[0]
-        resw = minimize(
-            kneg,
-            w0,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * len(atoms),
-            constraints=[{"type": "eq", "fun": lambda w: np.sum(w) - 1.0}],
-            options={"maxiter": 150, "ftol": 1e-13},
-        )
-        weights = np.clip(resw.x, 0.0, None)
-        weights = weights / weights.sum()
-        keep = weights > 1e-12
-        if keep.sum() < len(atoms):
-            atoms = [a for a, k in zip(atoms, keep) if k]
-            weights = weights[keep] / weights[keep].sum()
+        support = np.flatnonzero(p > 0)
+
+        def cross(r):
+            # sum_i p_i log2 q_i(r): -D(p||q(r)) up to the constant -H(p)
+            q = np.clip(q_of(r), 1e-300, None)
+            grad = sum((p[i] / (q[i] * LN2)) * q_mats[i] for i in support)
+            return float(p[support] @ np.log2(q[support])), 0.5 * (grad + grad.conj().T)
+
+        res = solve_linear_sdp(cross(rho)[1], fs, gap_tol=1e-8)
+        atoms, weights = _fcfw_step(cross, atoms, weights, res.rho)
     return prev, p, rho

@@ -351,25 +351,3 @@ def sigma_for_string(x, d: int) -> np.ndarray:
     s = sorting_permutation(x)
     V = permutation_operator(s, d)
     return V.T @ core @ V  # V is real orthogonal; V^{-1} = V.T
-
-
-def universal_type_state(ptype: tuple[Fraction, ...], n: int, d: int) -> np.ndarray:
-    """sigma_{U,P}: uniform mixture of sigma_x over the type class of P."""
-    members = type_class(ptype, n)
-    out = np.zeros((d**n, d**n), dtype=float)
-    for x in members:
-        out += sigma_for_string(x, d)
-    return out / len(members)
-
-
-def block_dimension_summary(n: int, d: int) -> list[dict]:
-    """Diagnostic dump of block dimensions (JSON-friendly)."""
-    return [
-        {
-            "diagram": list(blk.diagram),
-            "dimU": blk.dimU,
-            "dimV": blk.dimV,
-            "trace": float(np.trace(blk.projector)),
-        }
-        for blk in build_isotypic_blocks(n, d)
-    ]

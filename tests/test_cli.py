@@ -71,6 +71,21 @@ def test_compress_sim_injective_is_exact(tmp_path):
     assert json.loads(out.read_text())["exactPerr"] <= 1e-10
 
 
+def test_compress_sim_three_symbols_strict_json(tmp_path):
+    # alphabet 3 once overflowed the Sibson term at alpha = 0.001 into NaN
+    out = tmp_path / "rep.json"
+    assert main([
+        "compress-sim", "--n", "3", "--alphabet", "3", "--d", "2",
+        "--bins-log", "1.58", "--seed", "1", "--out", str(out),
+    ]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON constant {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert all(math.isfinite(v) for point in doc["exponentCurve"] for v in point)
+
+
 def test_compress_sim_capacity_exit_code():
     assert main(["compress-sim", "--n", "9", "--bins-log", "1"]) == 3
 
@@ -136,6 +151,16 @@ def test_keyrate_csv_schema_and_determinism(tmp_path):
     for r in rows:
         assert float(r["eps_sec"]) <= 2.0**-50 * (1 + 1e-9)
         assert float(r["key_rate"]) >= 0.0
+
+
+def test_keyrate_universal_noiseless(tmp_path):
+    out = tmp_path / "p0.csv"
+    assert main([
+        "keyrate", "--analysis", "universal", "--depol", "0",
+        "--ntot", "1e9", "--jobs", "1", "--out", str(out),
+    ]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 1 and float(rows[0]["key_rate"]) > 0.0
 
 
 def test_keyrate_grid_row_count(tmp_path):

@@ -97,6 +97,15 @@ def test_sibson_bounds():
         assert val <= conditional_renyi_sibson(srcless, 0.5) + 1e-10
 
 
+def test_sibson_finite_at_small_alpha_three_symbols():
+    # s has eigenvalues near |X| = 3, so s^(1/alpha) overflows at alpha=0.001
+    rng = np.random.default_rng(5)
+    src = _random_source(rng, k=3, d=2)
+    val = conditional_renyi_sibson(src, 0.001)
+    assert math.isfinite(val)
+    assert val <= math.log2(3) + 1e-9
+
+
 def test_renyi_divergence_properties():
     rng = np.random.default_rng(5)
     rho = random_density(3, rng)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from ucqkd import optimize
 from ucqkd.errors import InfeasibleError, UsageError
 from ucqkd.matfun import herm_eig, random_density
 from ucqkd.optimize import (
     FeasibleSet,
+    _fcfw_step,
     divergence_bits,
     facial_reduce,
     herm_basis,
@@ -303,6 +305,18 @@ def test_tilted_projection_against_slsqp():
             assert div <= neg(out.x) + 1e-6
 
 
+def test_tilted_projection_scale_invariant():
+    # the tilt acts through t * gamma, so scaling gamma and c together must
+    # not change p, even when t has to grow past 1e8
+    q = np.array([0.4, 0.3, 0.2, 0.1])
+    gamma = np.array([0.0, 0.2, 0.5, 1.0])
+    c = 0.999
+    p, div = tilted_projection(q, gamma, c)
+    p_small, div_small = tilted_projection(q, 1e-7 * gamma, 1e-7 * c)
+    assert np.allclose(p_small, p, rtol=1e-6, atol=1e-12)
+    assert abs(div_small - div) <= 1e-6 * max(1.0, div)
+
+
 def test_tilted_projection_inactive_constraint():
     q = np.array([0.7, 0.3])
     p, div = tilted_projection(q, np.array([1.0, 0.0]), 0.5)
@@ -325,11 +339,66 @@ def test_joint_divergence_minimizer_feasibility():
     fs = FeasibleSet(dim=2)
     gamma = np.array([1.0, 0.0])
     div, p, rho = joint_divergence_minimizer(
-        [P0, P1], np.zeros(2), fs, gamma, 0.9
+        [P0, P1], fs, lambda q: tilted_projection(np.clip(q, 0.0, None), gamma, 0.9)[0]
     )
     assert p[0] >= 0.9 - 1e-8
     # rho free: q can match p exactly, so the joint minimum is zero
     assert div <= 1e-7
+
+
+def _weight_solves(monkeypatch):
+    """Record the (objective, start) pairs the FCFW step hands to SLSQP."""
+    seen = []
+
+    def spy(fun, x0, **kwargs):
+        assert kwargs["jac"] is True
+        seen.append((fun, np.array(x0)))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", spy)
+    return seen
+
+
+def _check_weight_gradient(fun, k, rng):
+    w = rng.dirichlet(np.ones(k))  # random interior weight
+    _, grad = fun(w)
+    h = 1e-6
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = h
+        fd = (fun(w + e)[0] - fun(w - e)[0]) / (2 * h)
+        assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_fcfw_step_weight_gradient_renyi(monkeypatch):
+    rng = np.random.default_rng(8)
+    seen = _weight_solves(monkeypatch)
+
+    def obj(s):
+        return renyi_objective_and_gradient(s, 0.3, KEY_PINCH, 1.0)
+
+    atoms = [random_density(2, rng) + 0.05 * np.eye(2) for _ in range(3)]
+    atoms, weights = _fcfw_step(obj, atoms, np.full(3, 1.0 / 3.0),
+                                random_density(2, rng) + 0.05 * np.eye(2))
+    assert abs(weights.sum() - 1.0) <= 1e-12 and weights.min() > 0
+    assert len(atoms) == len(weights)
+    fun, x0 = seen[0]
+    _check_weight_gradient(fun, len(x0), rng)
+
+
+def test_fcfw_step_weight_gradient_divergence(monkeypatch):
+    rng = np.random.default_rng(9)
+    seen = _weight_solves(monkeypatch)
+    mats = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    fs = FeasibleSet(dim=2, ineq=[(mats[0], 0.6), (X, 0.3)])
+    gamma = np.array([1.0, 0.0])
+    joint_divergence_minimizer(
+        mats, fs, lambda q: tilted_projection(np.clip(q, 0.0, None), gamma, 0.9)[0]
+    )
+    assert seen
+    for fun, x0 in seen[:3]:
+        _check_weight_gradient(fun, len(x0), rng)
 
 
 def test_renyi_objective_rejects_bad_alpha():
