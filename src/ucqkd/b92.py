@@ -15,10 +15,10 @@ cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, minimize_scalar
 
 from .entropies import (
     alpha_heuristic,
@@ -505,10 +505,11 @@ def universal_key_length(
 
 
 def _auto_alpha(cfg, stats, budget, n_fin_at, rho_expected):
-    """Seed from the relative-entropy-variance heuristic, then search a
-    log-spaced bracket and golden-refine.  The seed balances only the
-    epsilon overhead; the filter-band term pushes the true optimum to much
-    larger alpha, so the grid extends well beyond the seed."""
+    """Seed from the relative-entropy-variance heuristic, search a
+    log-spaced grid, then refine around its best point with bounded Brent in
+    log alpha.  The seed balances only the epsilon overhead; the filter-band
+    term pushes the true optimum to much larger alpha, so the grid extends
+    well beyond the seed.  Returns the best (alpha, n_fin) evaluated."""
     seed = _alpha_seed(cfg, stats, budget, rho_expected)
     lo = min(max(seed / 5.0, 1e-6), 0.01)
     grid = np.unique(np.concatenate([
@@ -517,25 +518,19 @@ def _auto_alpha(cfg, stats, budget, n_fin_at, rho_expected):
     ]))
     vals = {float(a): n_fin_at(float(a)) for a in grid}
     best = max(vals, key=vals.get)
-    lo, hi = best / 1.8, min(best * 1.8, 1.0 - 1e-6)
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = n_fin_at(math.exp(c)), n_fin_at(math.exp(d))
-    for _ in range(10):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = n_fin_at(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = n_fin_at(math.exp(d))
-    cands = dict(vals)
-    cands[math.exp(c)] = fc
-    cands[math.exp(d)] = fd
-    best = max(cands, key=cands.get)
-    return float(best), cands[best]
+
+    def neg_n_fin(log_a):
+        a = math.exp(log_a)
+        vals[a] = n_fin_at(a)
+        return -vals[a]
+
+    minimize_scalar(
+        neg_n_fin,
+        bounds=(math.log(best / 1.8), math.log(min(best * 1.8, 1.0 - 1e-6))),
+        method="bounded", options={"xatol": 5e-3},
+    )
+    best = max(vals, key=vals.get)
+    return best, vals[best]
 
 
 def _alpha_seed(cfg, stats, budget, rho_expected) -> float:
@@ -650,28 +645,6 @@ def _min_divergence(fs, ops, gamma, thresh, q5fix):
     return joint_divergence_minimizer(ops, fs, project)
 
 
-def _max_entropy_halfspace(gamma, thresh, restarts=12, seed=0):
-    """max of the pattern exponent over u in the 4-simplex, <gamma,u> <= thresh."""
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    cons = [
-        {"type": "eq", "fun": lambda u: np.sum(u) - 1.0},
-        {"type": "ineq", "fun": lambda u: thresh - float(gamma @ u)},
-    ]
-    for k in range(restarts):
-        u0 = rng.dirichlet(np.ones(4)) if k else np.full(4, 0.25)
-        if float(gamma @ u0) > thresh:
-            continue
-        res = minimize(
-            lambda u: -phase_entropy(np.clip(u, 0.0, 1.0)),
-            u0, method="SLSQP", bounds=[(0.0, 1.0)] * 4, constraints=cons,
-            options={"maxiter": 300, "ftol": 1e-12},
-        )
-        if res.success or res.fun < -best:
-            best = max(best, -res.fun)
-    return best
-
-
 def conventional_key_length(
     cfg: B92Config, stats: ObservedStats, budget: EpsBudget
 ) -> KeyLengthResult:
@@ -698,6 +671,7 @@ def conventional_key_length(
 
     res = _maximize_entropy(_pattern_objective(povms), fs, 1e-8, 40)
     qstar = np.array([float(np.trace(O @ res.sigma).real) for O in ops])
+    mass = float(qstar[:4].sum())
     ustar = np.clip(qstar[:4], 0.0, None)
     ustar = ustar / ustar.sum()
     _, gamma = phase_entropy_and_gradient(qstar[:4])
@@ -710,18 +684,19 @@ def conventional_key_length(
         div, _, _ = _min_divergence(fs, ops, gamma, t, q5fix)
         return div - target
 
-    if t_hi - t0 < 1e-12 or gap(t_hi - 1e-12 * max(1.0, abs(t_hi))) < 0.0:
+    # The exponent is concave and scale-invariant, so its gradient at u* on
+    # the simplex is mass * gamma, and every u with <gamma,u> <= t has
+    # exponent <= res.value + mass (t - t0) <= res.upper_bound + mass (t - t0).
+    # gap is nondecreasing in t, so gap(t0) >= 0 means t* = t0.
+    if gap(t0) >= 0.0:
+        max_h = res.upper_bound
+    elif t_hi - t0 < 1e-12 or gap(t_hi - 1e-12 * max(1.0, abs(t_hi))) < 0.0:
         # the halfspace cannot be pushed far enough: no exclusion, use the
-        # whole simplex (valid, pessimistic)
-        max_h = _max_entropy_halfspace(gamma, math.inf, seed=cfg.seed)
+        # maximum over the whole simplex, H(phase|bit) <= 1
+        max_h = 1.0
     else:
-        g0 = gap(t0)
-        if g0 >= 0.0:
-            tstar = t0
-        else:
-            tstar = brentq(gap, t0, t_hi, xtol=1e-12, rtol=1e-10)
-        max_h = _max_entropy_halfspace(gamma, tstar, seed=cfg.seed)
-        max_h = max(max_h, res.upper_bound)
+        tstar = brentq(gap, t0, t_hi, xtol=1e-12, rtol=1e-10)
+        max_h = res.upper_bound + mass * (tstar - t0)
 
     n_fin = n1 * (1.0 - max_h) - budget.s
     clamped = n_fin <= 0.0

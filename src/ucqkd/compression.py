@@ -31,7 +31,7 @@ from .entropies import CqSource, conditional_renyi_sibson
 from .errors import CapacityError, DomainError, UsageError
 from .fields import GaloisField, field as make_field
 from .hashing import enumerate_surjective_family, hash_apply, sample_toeplitz
-from .matfun import herm_eig, mpow, support_projector
+from .matfun import herm_eig
 from .schur_weyl import empirical_entropy, sigma_for_string
 
 BRUTE_FORCE_CAP = 2**16
@@ -148,28 +148,17 @@ def _decoder_weights(source: CqSource, n: int, kind: str) -> dict[tuple, float]:
 
 
 def build_decoder_povm(
-    kind: str,
-    h,
-    b,
-    source: CqSource,
-    n: int,
-    weights: dict[tuple, float] | None = None,
-    sigmas: dict[tuple, np.ndarray] | None = None,
+    pre: list[tuple], weights: dict[tuple, float], sigmas: dict[tuple, np.ndarray]
 ) -> dict[tuple, np.ndarray]:
-    """Decoder POVM {Y(x)} for bin b of the hash function h (a callable).
+    """Decoder POVM {Y(x)} for one hash bin, given the bin's preimage `pre`.
 
     Division is carried out on the support of the denominator and extended
     by zero; the completeness identity sum_x Y(x) = support projector holds
     per bin.
     """
-    k = len(source.states)
-    d = source.dim
-    pre = [x for x in itertools.product(range(k), repeat=n) if h(x) == b]
     if not pre:
         raise DomainError("empty hash preimage")
-    weights = weights or _decoder_weights(source, n, kind)
-    sigmas = sigmas or {x: sigma_for_string(x, d) for x in pre}
-    denom = np.zeros((d**n, d**n), dtype=complex)
+    denom = np.zeros(sigmas[pre[0]].shape, dtype=complex)
     for y in pre:
         if weights[y] > 0:
             denom += weights[y] * sigmas[y]
@@ -217,17 +206,12 @@ def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
 
     per_member = []
     for H in members:
-        hfun = lambda x: fld.vector_index(hash_apply(fld, H, x))
         bins = {}
         for x in strings:
-            bins.setdefault(hfun(x), []).append(x)
+            bins.setdefault(fld.vector_index(hash_apply(fld, H, x)), []).append(x)
         err = 0.0
-        for b, pre in bins.items():
-            povm = build_decoder_povm(
-                exp.decoder_kind, hfun, b, exp.source, exp.n,
-                weights=weights,
-                sigmas={x: sigmas[x] for x in pre},
-            )
+        for pre in bins.values():
+            povm = build_decoder_povm(pre, weights, sigmas)
             for x in pre:
                 if pn[x] == 0.0:
                     continue

@@ -2,10 +2,13 @@
 and the finite-size/asymptotic key lengths."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from ucqkd import b92
 from ucqkd.b92 import (
     B92Config,
     achieved_eps_sec,
@@ -26,8 +29,8 @@ from ucqkd.b92 import (
     source_state,
     universal_key_length,
 )
-from ucqkd.entropies import binary_entropy
-from ucqkd.errors import UsageError
+from ucqkd.entropies import binary_entropy, solve_delta2
+from ucqkd.errors import InfeasibleError, UsageError
 from ucqkd.matfun import herm_eig, partial_trace
 
 CFG = B92Config(n_tot=10**6)
@@ -218,6 +221,24 @@ def test_phase_entropy_gradient_finite_differences():
             assert abs(fd - grad[i]) <= 1e-5
 
 
+def test_phase_entropy_tangent_bound_on_simplex():
+    # the exponent is concave and scale-invariant, so on the simplex it lies
+    # below its tangent plane at u* = q4/s, whose slope is s times the
+    # gradient at q4; points u* +- d pin the factor s at first order
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        q4 = rng.dirichlet(np.ones(4)) * float(rng.uniform(0.05, 5.0))
+        s = float(q4.sum())
+        ustar = q4 / s
+        h0, grad = phase_entropy_and_gradient(q4)
+        d = rng.normal(size=4)
+        d -= d.mean()
+        d *= 1e-3 * ustar.min() / np.abs(d).max()
+        points = [rng.dirichlet(np.ones(4)) for _ in range(50)] + [ustar + d, ustar - d]
+        for u in points:
+            assert phase_entropy(u) <= h0 + s * float(grad @ (u - ustar)) + 1e-12
+
+
 def test_outcome_operators_resolve_filter():
     povms = build_povms(CFG)
     ops = outcome_operators(povms)
@@ -274,6 +295,98 @@ def test_key_lengths_clamp_at_high_noise():
         assert res.n_fin == 0.0
         assert res.net_key == 0.0
         assert res.clamped
+
+
+def test_conventional_bound_covers_halfspace_maximum(monkeypatch):
+    # at this point the exclusion halfspace <gamma,u> <= t* reaches past the
+    # tangent point u*, so the key must pay for the largest pattern exponent
+    # on it, found here independently by SLSQP from u*
+    cfg = B92Config(n_tot=10**9, seed=1)
+    budget = secrecy_budget(cfg, "conventional")
+    stats = sample_observed(cfg, 0.01, budget.log2_eps1, np.random.default_rng([1, 0]))
+    divergences, maxima = [], []
+    min_divergence, maximize_entropy = b92._min_divergence, b92._maximize_entropy
+
+    def spy_divergence(fs, ops, gamma, thresh, q5fix):
+        out = min_divergence(fs, ops, gamma, thresh, q5fix)
+        divergences.append((gamma, thresh, out[0]))
+        return out
+
+    def spy_maximize(*args, **kwargs):
+        maxima.append(maximize_entropy(*args, **kwargs))
+        return maxima[-1]
+
+    monkeypatch.setattr(b92, "_min_divergence", spy_divergence)
+    monkeypatch.setattr(b92, "_maximize_entropy", spy_maximize)
+    res = conventional_key_length(cfg, stats, budget)
+
+    target = -budget.log2_eps2 / cfg.splits[0]
+    gamma = divergences[0][0]
+    ops = outcome_operators(build_povms(cfg))
+    q4 = np.array([float(np.trace(O @ maxima[0].sigma).real) for O in ops[:4]])
+    ustar = q4 / q4.sum()
+    # the largest threshold whose excluded set is still too likely: <= t*
+    tstar = max(t for _, t, div in divergences if div < target)
+    assert tstar - float(gamma @ ustar) > 1e-4
+    opt = minimize(
+        lambda u: -phase_entropy(np.clip(u, 0.0, 1.0)), ustar, method="SLSQP",
+        bounds=[(0.0, 1.0)] * 4,
+        constraints=[
+            {"type": "eq", "fun": lambda u: np.sum(u) - 1.0},
+            {"type": "ineq", "fun": lambda u: tstar - float(gamma @ u)},
+        ],
+        options={"maxiter": 300, "ftol": 1e-12},
+    )
+    u = np.clip(opt.x, 0.0, 1.0)
+    assert abs(u.sum() - 1.0) <= 1e-9
+    assert float(gamma @ u) <= tstar + 1e-9
+    h_hat = phase_entropy(u)
+    assert h_hat > maxima[0].upper_bound
+    assert res.n_fin <= stats.n_sift * (1.0 - h_hat) - budget.s
+
+
+def test_auto_alpha_refines_grid_with_brent(monkeypatch):
+    # a stub R* bound for which n_fin(a) = n1 (0.7 - c a) - 18 log2(n1+1)
+    # - log2(1/eps2)/a, with its maximum at a_opt
+    cfg = B92Config(n_tot=10**10)
+    budget = secrecy_budget(cfg, "universal")
+    stats = sample_observed(cfg, 0.005, budget.log2_eps1, np.random.default_rng(1))
+    n1, n_extr = stats.n_sift, cfg.splits[0]
+    f1 = n1 / n_extr
+    r_down = f1 - solve_delta2(1.0 - f1, n_extr, log2_eps=budget.log2_eps2)
+    band = math.log2(1.0 / r_down)
+    a_opt = 0.0731
+    c = -budget.log2_eps2 / (n1 * a_opt**2)
+    calls = []
+
+    def stub(cfg_, fs, alpha, *args, **kwargs):
+        calls.append(alpha)
+        return SimpleNamespace(upper_bound=0.3 + c * alpha - (1.0 - alpha) / alpha * band)
+
+    def n_fin(a):
+        return n1 * (0.7 - c * a) - 18.0 * math.log2(n1 + 1) + budget.log2_eps2 / a
+
+    monkeypatch.setattr(b92, "rstar_upper_bound", stub)
+    res = universal_key_length(
+        cfg, stats, budget, rho_expected=depolarized_state(cfg, 0.005), alpha="auto"
+    )
+    assert res.alpha_renyi in calls
+    assert 12 < len(calls) <= 30
+    best = max(n_fin(a) for a in calls)
+    assert abs(res.n_fin - n_fin(res.alpha_renyi)) <= 1e-6
+    assert res.n_fin >= best - 1e-6
+    assert abs(math.log(res.alpha_renyi / a_opt)) <= 1e-2
+
+
+@pytest.mark.xfail(strict=True, raises=InfeasibleError,
+                   reason="phase one finds no strictly feasible point when the "
+                          "bit-error bound is below the SDP's absolute tolerance")
+def test_conventional_noiseless_large_sample():
+    cfg = B92Config(n_tot=10**12)
+    budget = secrecy_budget(cfg, "conventional")
+    stats = _observed(cfg, 0.0, budget)
+    res = conventional_key_length(cfg, stats, budget)
+    assert res.n_fin > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Operator division, universal decoders, and the error-exponent bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from ucqkd.compression import (
     CompressionExperiment,
+    _decoder_weights,
     build_decoder_povm,
     comparison_exponents,
     exact_error_probability,
@@ -23,6 +25,7 @@ from ucqkd.errors import CapacityError, UsageError
 from ucqkd.fields import field
 from ucqkd.hashing import enumerate_surjective_family, hash_apply
 from ucqkd.matfun import herm_eig, random_density, support_projector
+from ucqkd.schur_weyl import sigma_for_string
 
 
 def _random_source(rng, k=2, d=2, full_rank=True):
@@ -104,12 +107,17 @@ def test_decoder_povm_is_valid(kind):
     gf = field(2, 1)
     fam = enumerate_surjective_family(gf, 2, 1)
     H = fam[0]
+    weights = _decoder_weights(src, 2, kind)
+    sigmas = {x: sigma_for_string(x, src.dim) for x in weights}
+    bins = {}
+    for x in itertools.product(range(2), repeat=2):
+        b = int(hash_apply(gf, H, np.array(x, dtype=np.int64))[0])
+        bins.setdefault(b, []).append(x)
 
-    def h(x):
-        return int(hash_apply(gf, H, np.array(x, dtype=np.int64))[0])
-
-    for b in (0, 1):
-        povm = build_decoder_povm(kind, h, b, src, 2)
+    assert sorted(bins) == [0, 1]
+    for pre in bins.values():
+        povm = build_decoder_povm(pre, weights, sigmas)
+        assert sorted(povm) == sorted(pre)
         total = sum(povm.values())
         # decoder elements are positive and sum to (at most) the bin support
         for Y in povm.values():
