@@ -486,7 +486,8 @@ def universal_key_length(
 
     alpha = cfg.alpha_renyi if alpha is None else alpha
     if alpha == "auto":
-        alpha, n_fin = _auto_alpha(cfg, stats, budget, n_fin_at, rho_expected)
+        seed = _alpha_seed(cfg, stats, budget, fs, rho_expected)
+        alpha, n_fin = _auto_alpha(n_fin_at, seed)
     else:
         alpha = float(alpha)
         n_fin = n_fin_at(alpha)
@@ -504,13 +505,12 @@ def universal_key_length(
     )
 
 
-def _auto_alpha(cfg, stats, budget, n_fin_at, rho_expected):
-    """Seed from the relative-entropy-variance heuristic, search a
-    log-spaced grid, then refine around its best point with bounded Brent in
-    log alpha.  The seed balances only the epsilon overhead; the filter-band
-    term pushes the true optimum to much larger alpha, so the grid extends
-    well beyond the seed.  Returns the best (alpha, n_fin) evaluated."""
-    seed = _alpha_seed(cfg, stats, budget, rho_expected)
+def _auto_alpha(n_fin_at, seed):
+    """From the relative-entropy-variance seed, search a log-spaced grid,
+    then refine around its best point with bounded Brent in log alpha.  The
+    seed balances only the epsilon overhead; the filter-band term pushes the
+    true optimum to much larger alpha, so the grid extends well beyond the
+    seed.  Returns the best (alpha, n_fin) evaluated."""
     lo = min(max(seed / 5.0, 1e-6), 0.01)
     grid = np.unique(np.concatenate([
         np.geomspace(lo, 0.45, 11),
@@ -533,11 +533,9 @@ def _auto_alpha(cfg, stats, budget, n_fin_at, rho_expected):
     return best, vals[best]
 
 
-def _alpha_seed(cfg, stats, budget, rho_expected) -> float:
+def _alpha_seed(cfg, stats, budget, fs, rho_expected) -> float:
     if rho_expected is None:
         # center of the acceptance set as a stand-in for the expected state
-        povms = build_povms(cfg)
-        fs = constraint_set_B(stats, cfg.splits, budget.log2_eps2, povms)
         rho_expected = solve_linear_sdp(np.zeros((4, 4), dtype=complex), fs).rho
     sf = build_states_and_filter(cfg)
     sigma = sf["filter_map"](rho_expected)
@@ -680,9 +678,12 @@ def conventional_key_length(
     t0 = float(gamma @ ustar)
     t_hi = float(gamma.max())
 
+    gaps = {}  # brentq re-evaluates the bracket end t0 solved below
+
     def gap(t):
-        div, _, _ = _min_divergence(fs, ops, gamma, t, q5fix)
-        return div - target
+        if t not in gaps:
+            gaps[t] = _min_divergence(fs, ops, gamma, t, q5fix)[0] - target
+        return gaps[t]
 
     # The exponent is concave and scale-invariant, so its gradient at u* on
     # the simplex is mass * gamma, and every u with <gamma,u> <= t has

@@ -8,12 +8,19 @@ product of convex sets.
 All certified bounds are one-sided in the safe direction: SDP maximizations
 report a dual upper bound, sequential linearization reports the minimum of
 accumulated linearized upper bounds together with the best feasible value.
+
+Phase one runs once per feasible set: a `FeasibleSet` keeps its strictly
+feasible point, and every SDP solve, linearization and divergence
+minimization on that same object starts from it.  Linearization changes
+only the objective, so the feasible set, and with it the starting point,
+stays fixed for a whole run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -67,12 +74,26 @@ def vec_to_mat(v: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FeasibleSet:
-    """{rho >= 0 : Tr[rho] = trace, Tr[A rho] = b, Tr[E rho] <= f}."""
+    """{rho >= 0 : Tr[rho] = trace, Tr[A rho] = b, Tr[E rho] <= f}.
+
+    Treated as immutable once solved: the phase-one point is cached on the
+    object.
+    """
 
     dim: int
     eq: list = field(default_factory=list)  # (matrix, value)
     ineq: list = field(default_factory=list)  # (matrix, upper bound)
     trace: float = 1.0
+
+    @cached_property
+    def interior_point(self) -> tuple[np.ndarray, np.ndarray]:
+        """Strictly feasible (rho, basis coordinates of rho) from phase one,
+        computed on first use and read-only.  A set that phase one rejects
+        raises InfeasibleError on every access."""
+        rho, x = _phase_one(self, herm_basis(self.dim))
+        rho.flags.writeable = False
+        x.flags.writeable = False
+        return rho, x
 
 
 def facial_reduce(fs: FeasibleSet, tol: float = 1e-11) -> tuple[FeasibleSet, np.ndarray]:
@@ -291,7 +312,7 @@ def solve_linear_sdp(
     basis = herm_basis(d)
     eq_mats, Aeq, b, in_mats, Evec, f = _assemble(fs, basis)
     cvec = mat_to_vec(C, basis)
-    rho, x = _phase_one(fs, basis)
+    rho, x = fs.interior_point
     tvals = f - Evec @ x if len(f) else np.zeros(0)
 
     scale = max(1.0, np.abs(herm_eig(C)[0]).max())
@@ -324,7 +345,7 @@ def solve_linear_sdp(
                 break
         # dual candidate from barrier multipliers
         nu = mu / tvals if len(tvals) else np.zeros(0)
-        lam_use = _dual_from_kkt(C, eq_mats, in_mats, nu, rho, mu)
+        lam_use = _dual_from_kkt(C, Aeq, in_mats, nu, rho, mu, basis)
         Z = -C + sum(l * A for l, A in zip(lam_use, eq_mats))
         for j, E in enumerate(in_mats):
             Z = Z + nu[j] * E
@@ -353,16 +374,12 @@ def solve_linear_sdp(
         mu *= 0.1
 
 
-def _dual_from_kkt(C, eq_mats, in_mats, nu, rho, mu):
+def _dual_from_kkt(C, Aeq, in_mats, nu, rho, mu, basis):
     """Least-squares equality multipliers making Z ~ mu rho^{-1} >= 0."""
     target = C + mu * np.linalg.inv(rho)
     for j, E in enumerate(in_mats):
         target = target - nu[j] * E
-    d = rho.shape[0]
-    basis = herm_basis(d)
-    Amat = np.array([mat_to_vec(A, basis) for A in eq_mats]).T
-    tv = mat_to_vec(target, basis)
-    lam, *_ = np.linalg.lstsq(Amat, tv, rcond=None)
+    lam, *_ = np.linalg.lstsq(Aeq.T, mat_to_vec(target, basis), rcond=None)
     return lam
 
 
@@ -509,8 +526,7 @@ def sequential_linearization(
     d = fs.dim
     eye = np.eye(d, dtype=complex) * (fs.trace / d)
     if sigma0 is None:
-        basis = herm_basis(d)
-        sigma0, _ = _phase_one(fs, basis)
+        sigma0 = fs.interior_point[0]
     atoms = [np.asarray(sigma0, dtype=complex)]
     weights = np.array([1.0])
     upper = math.inf
@@ -596,7 +612,7 @@ def joint_divergence_minimizer(
     bits, p, rho).
     """
     q_mats = [np.asarray(Q, dtype=complex) for Q in q_mats]
-    rho, _ = _phase_one(fs, herm_basis(fs.dim))
+    rho = fs.interior_point[0]
     atoms = [rho]
     weights = np.array([1.0])
 

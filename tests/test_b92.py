@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ucqkd import b92
+from ucqkd import b92, optimize
 from ucqkd.b92 import (
     B92Config,
     achieved_eps_sec,
@@ -345,6 +345,24 @@ def test_conventional_bound_covers_halfspace_maximum(monkeypatch):
     assert res.n_fin <= stats.n_sift * (1.0 - h_hat) - budget.s
 
 
+def test_conventional_solves_each_threshold_once(monkeypatch):
+    # the root search brackets [t0, t_hi] after evaluating t0 itself; the
+    # bracket end must not cost a second divergence minimization
+    cfg = B92Config(n_tot=10**9, seed=1)
+    budget = secrecy_budget(cfg, "conventional")
+    stats = sample_observed(cfg, 0.01, budget.log2_eps1, np.random.default_rng([1, 0]))
+    thresholds, min_divergence = [], b92._min_divergence
+
+    def spy(fs, ops, gamma, thresh, q5fix):
+        thresholds.append(thresh)
+        return min_divergence(fs, ops, gamma, thresh, q5fix)
+
+    monkeypatch.setattr(b92, "_min_divergence", spy)
+    conventional_key_length(cfg, stats, budget)
+    assert len(thresholds) > 2  # the root search ran
+    assert len(set(thresholds)) == len(thresholds)
+
+
 def test_auto_alpha_refines_grid_with_brent(monkeypatch):
     # a stub R* bound for which n_fin(a) = n1 (0.7 - c a) - 18 log2(n1+1)
     # - log2(1/eps2)/a, with its maximum at a_opt
@@ -376,6 +394,28 @@ def test_auto_alpha_refines_grid_with_brent(monkeypatch):
     assert abs(res.n_fin - n_fin(res.alpha_renyi)) <= 1e-6
     assert res.n_fin >= best - 1e-6
     assert abs(math.log(res.alpha_renyi / a_opt)) <= 1e-2
+
+
+def test_auto_alpha_shares_one_acceptance_set(monkeypatch):
+    # the alpha seed's center-of-set solve and every R* bound run on the set
+    # universal_key_length built, so phase one runs once for the whole search
+    cfg = B92Config(n_tot=10**10)
+    budget = secrecy_budget(cfg, "universal")
+    stats = sample_observed(cfg, 0.005, budget.log2_eps1, np.random.default_rng(1))
+    phase_one, runs = optimize._phase_one, []
+
+    def count(fs, basis):
+        runs.append(fs)
+        return phase_one(fs, basis)
+
+    def stub(cfg_, fs, alpha, *args, **kwargs):
+        optimize.solve_linear_sdp(np.zeros((4, 4), dtype=complex), fs)
+        return SimpleNamespace(upper_bound=0.3 + 0.1 * alpha)
+
+    monkeypatch.setattr(optimize, "_phase_one", count)
+    monkeypatch.setattr(b92, "rstar_upper_bound", stub)
+    universal_key_length(cfg, stats, budget, rho_expected=None, alpha="auto")
+    assert len(runs) == 1
 
 
 @pytest.mark.xfail(strict=True, raises=InfeasibleError,

@@ -1,12 +1,16 @@
 """The benchmark wraps program attributes by name (bench/tracing.py) and
 skips a name that no longer resolves, so a rename would silently drop its
-metrics and certified records.  Every name it looks up must exist."""
+metrics and certified records.  Every name it looks up must exist, and a
+wrapped name must still be the one the program calls."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ucqkd.optimize import FeasibleSet, solve_linear_sdp
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -32,3 +36,20 @@ def test_bench_hook_resolves(mod_name, attr):
         owner = getattr(owner, part, None)
         assert owner is not None, f"ucqkd.{mod_name}.{attr} does not exist"
     assert callable(owner)
+
+
+def test_tracer_counts_phase_one_once_per_set():
+    # the tracer wraps optimize._phase_one by name; the cached phase-one
+    # point must still go through that name, or the metric would read 0
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    fs = FeasibleSet(dim=2, ineq=[(np.diag([1.0, 0.0]), 0.6)])
+    tracer.install()
+    try:
+        solve_linear_sdp(np.diag([1.0, -1.0]), fs)
+        solve_linear_sdp(np.array([[0.0, 1.0], [1.0, 0.0]]), fs)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(0, 0.0)
+    assert metrics["optimize.phase_one.calls"] == 1
+    assert metrics["optimize.phase_one.calls_per_set"] == 1.0

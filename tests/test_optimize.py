@@ -137,6 +137,83 @@ def test_sdp_infeasible_raises():
 
 
 # ---------------------------------------------------------------------------
+# Phase-one point cached per feasible set
+# ---------------------------------------------------------------------------
+
+X2 = np.array([[0.0, 1.0], [1.0, 0.0]])
+CACHE_INEQ = [(np.diag([1.0, 0.0]), 0.6), (X2, 0.3)]
+
+
+def _count_phase_one(monkeypatch):
+    runs = []
+    phase_one = optimize._phase_one
+
+    def spy(fs, basis):
+        runs.append(fs)
+        return phase_one(fs, basis)
+
+    monkeypatch.setattr(optimize, "_phase_one", spy)
+    return runs
+
+
+def test_phase_one_runs_once_per_set(monkeypatch):
+    runs = _count_phase_one(monkeypatch)
+    fs = FeasibleSet(dim=2, ineq=CACHE_INEQ)
+    solve_linear_sdp(X2, fs)
+    solve_linear_sdp(np.diag([0.0, 1.0]), fs)
+    sequential_linearization(
+        lambda s: renyi_objective_and_gradient(s, 0.3, KEY_PINCH, 1.0), fs, max_outer=3
+    )
+    joint_divergence_minimizer(
+        KEY_PINCH, fs,
+        lambda q: tilted_projection(np.clip(q, 0.0, None), np.array([1.0, 0.0]), 0.9)[0],
+    )
+    assert runs == [fs]
+    # an equal but new set gets its own phase one
+    solve_linear_sdp(X2, FeasibleSet(dim=2, ineq=CACHE_INEQ))
+    assert len(runs) == 2 and runs[1] is not fs
+
+
+def test_reused_phase_one_point_gives_identical_results():
+    fs = FeasibleSet(dim=2, ineq=CACHE_INEQ)
+    solve_linear_sdp(X2, fs)
+    C = np.array([[0.2, 0.5 - 0.3j], [0.5 + 0.3j, -0.7]])
+    reused = solve_linear_sdp(C, fs)
+    fresh = solve_linear_sdp(C, FeasibleSet(dim=2, ineq=CACHE_INEQ))
+    assert np.array_equal(reused.rho, fresh.rho)
+    assert reused.primal == fresh.primal
+    assert reused.dual_bound == fresh.dual_bound
+
+
+def test_cached_phase_one_point_is_read_only():
+    fs = FeasibleSet(dim=2, ineq=CACHE_INEQ)
+    solve_linear_sdp(X2, fs)
+    rho, x = fs.interior_point
+    with pytest.raises(ValueError):
+        rho[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        x += 1.0
+
+
+def test_infeasible_set_fails_on_every_solve(monkeypatch):
+    runs = _count_phase_one(monkeypatch)
+    P0, P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    fs = FeasibleSet(dim=2, eq=[(P0, 0.8), (P1, 0.8)])
+    for _ in range(2):
+        with pytest.raises(InfeasibleError):
+            solve_linear_sdp(np.eye(2), fs)
+    assert len(runs) == 2  # the failure is not cached
+
+
+def test_cached_point_leaves_set_equality_alone():
+    fs, other = FeasibleSet(dim=2, ineq=CACHE_INEQ), FeasibleSet(dim=2, ineq=CACHE_INEQ)
+    assert fs == other
+    solve_linear_sdp(X2, fs)
+    assert fs == other and other == fs
+    assert repr(fs) == repr(other)
+
+
+# ---------------------------------------------------------------------------
 # Facial reduction
 # ---------------------------------------------------------------------------
 
