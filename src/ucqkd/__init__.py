@@ -15,8 +15,9 @@ Layered structure:
   error-exponent bound, with exact desk-scale simulation.
 - ``optimize``: certified log-barrier SDP, facial reduction, concave
   maximization by sequential linearization, and one alternating divergence
-  minimizer; both share one fully-corrective Frank-Wolfe weight step, and
-  phase one runs once per feasible set.
+  minimizer; both share one fully-corrective Frank-Wolfe weight step.
+  Phase one and the SDP solve share one barrier-Newton core, and phase one
+  and facial reduction run once per feasible set.
 - ``b92``: protocol POVMs, acceptance sets, finite-size key lengths for the
   universal and phase-error-pattern analyses, and asymptotic rates with the
   Devetak-Winter cross-check.

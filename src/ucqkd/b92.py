@@ -29,12 +29,11 @@ from .entropies import (
     solve_delta2,
     solve_r_err,
 )
-from .errors import DomainError, InfeasibleError, UsageError
+from .errors import DomainError, UsageError
 from .matfun import herm_eig
 from .optimize import (
     FeasibleSet,
     MaximizeResult,
-    facial_reduce,
     joint_divergence_minimizer,
     renyi_objective_and_gradient,
     sequential_linearization,
@@ -344,14 +343,11 @@ def constraint_set_B(
     splits: tuple[int, int, int],
     log2_eps2: float,
     povms: PovmSet,
-    filter_trace: float | None = None,
 ) -> FeasibleSet:
     """Density operators compatible with (n_sift, n_err, nbar3):
 
     two-sided band on Tr[rho M_fil] with eps2/2 on each side, one-sided bounds
-    on Tr[rho M_bit] (test rounds) and Tr[rho M_minus] (trash rounds).  When
-    `filter_trace` is given, the filter band is replaced by the equality
-    Tr[rho M_fil] = filter_trace (the slice used by the universal analysis).
+    on Tr[rho M_bit] (test rounds) and Tr[rho M_minus] (trash rounds).
     """
     n_extr, n_test, n_trash = splits
     f1 = stats.n_sift / n_extr
@@ -359,16 +355,14 @@ def constraint_set_B(
     bit_hi = b2 + solve_delta2(b2, n_test, log2_eps=log2_eps2)
     b3 = stats.nbar3 / n_trash
     minus_hi = b3 + solve_delta2(b3, n_trash, log2_eps=log2_eps2)
-    ineq = [
-        (povms.M_bit, min(bit_hi, 1.0)),
-        (povms.M_minus, min(minus_hi, 1.0)),
-    ]
-    if filter_trace is not None:
-        return FeasibleSet(dim=4, eq=[(povms.M_fil, filter_trace)], ineq=ineq)
     lo = f1 - solve_delta2(1.0 - f1, n_extr, log2_eps=log2_eps2 - 1.0)
     hi = f1 + solve_delta2(f1, n_extr, log2_eps=log2_eps2 - 1.0)
-    ineq = [(-povms.M_fil, -lo), (povms.M_fil, min(hi, 1.0))] + ineq
-    return FeasibleSet(dim=4, ineq=ineq)
+    return FeasibleSet(dim=4, ineq=[
+        (-povms.M_fil, -lo),
+        (povms.M_fil, min(hi, 1.0)),
+        (povms.M_bit, min(bit_hi, 1.0)),
+        (povms.M_minus, min(minus_hi, 1.0)),
+    ])
 
 
 def asymptotic_constraint_set(cfg: B92Config, p: float, povms: PovmSet) -> FeasibleSet:
@@ -410,7 +404,7 @@ def _reduced_objective(objective, V: np.ndarray):
 def _maximize_entropy(
     objective, fs: FeasibleSet, tol: float, max_outer: int
 ) -> MaximizeResult:
-    red, V = facial_reduce(fs)
+    red, V = fs.face
     if red.dim < fs.dim:
         res = sequential_linearization(
             _reduced_objective(objective, V), red, tol=tol, max_outer=max_outer
@@ -438,11 +432,9 @@ def rstar_upper_bound(
     cfg: B92Config,
     fs: FeasibleSet,
     alpha: float,
-    tol: float = 1e-7,
-    max_outer: int = 40,
 ) -> MaximizeResult:
     """Certified upper bound on max_{rho in B} H^up_{1-alpha}(X|A'B')."""
-    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs, tol, max_outer)
+    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs, 1e-7, 40)
 
 
 def universal_key_length(
@@ -677,8 +669,9 @@ def conventional_key_length(
     target = (-budget.log2_eps2) / n_extr
     t0 = float(gamma @ ustar)
     t_hi = float(gamma.max())
+    t_top = t_hi - 1e-12 * max(1.0, abs(t_hi))
 
-    gaps = {}  # brentq re-evaluates the bracket end t0 solved below
+    gaps = {}  # brentq re-evaluates the bracket ends t0 and t_top solved below
 
     def gap(t):
         if t not in gaps:
@@ -691,12 +684,12 @@ def conventional_key_length(
     # gap is nondecreasing in t, so gap(t0) >= 0 means t* = t0.
     if gap(t0) >= 0.0:
         max_h = res.upper_bound
-    elif t_hi - t0 < 1e-12 or gap(t_hi - 1e-12 * max(1.0, abs(t_hi))) < 0.0:
+    elif t_hi - t0 < 1e-12 or gap(t_top) < 0.0:
         # the halfspace cannot be pushed far enough: no exclusion, use the
         # maximum over the whole simplex, H(phase|bit) <= 1
         max_h = 1.0
     else:
-        tstar = brentq(gap, t0, t_hi, xtol=1e-12, rtol=1e-10)
+        tstar = brentq(gap, t0, t_top, xtol=1e-12, rtol=1e-10)
         max_h = res.upper_bound + mass * (tstar - t0)
 
     n_fin = n1 * (1.0 - max_h) - budget.s

@@ -9,11 +9,20 @@ All certified bounds are one-sided in the safe direction: SDP maximizations
 report a dual upper bound, sequential linearization reports the minimum of
 accumulated linearized upper bounds together with the best feasible value.
 
+One barrier-Newton core, `_center`, serves both phase one and the SDP solve:
+damped Newton steps on a linear objective plus mu times the log-barrier of
+a linear matrix inequality and linear slacks, under linear equalities.  Each
+step is 0.98 of the largest step that stays strictly feasible, capped at a
+full Newton step; `_max_step` finds that step in closed form from one
+Cholesky factor.
+
 Phase one runs once per feasible set: a `FeasibleSet` keeps its strictly
 feasible point, and every SDP solve, linearization and divergence
 minimization on that same object starts from it.  Linearization changes
 only the objective, so the feasible set, and with it the starting point,
-stays fixed for a whole run.
+stays fixed for a whole run.  The set keeps its facial-reduction face too,
+so maximizations that reduce one set share the reduced set and its
+phase-one point.
 """
 
 from __future__ import annotations
@@ -95,13 +104,24 @@ class FeasibleSet:
         x.flags.writeable = False
         return rho, x
 
+    @cached_property
+    def face(self) -> tuple[FeasibleSet, np.ndarray]:
+        """(reduced set, isometry V) from `facial_reduce`, computed on first
+        use and read-only; the reduced set is this object when no
+        constraint forces a face."""
+        red, V = facial_reduce(self)
+        V.flags.writeable = False
+        return red, V
 
-def facial_reduce(fs: FeasibleSet, tol: float = 1e-11) -> tuple[FeasibleSet, np.ndarray]:
+
+def facial_reduce(fs: FeasibleSet) -> tuple[FeasibleSet, np.ndarray]:
     """Restrict to the face forced by constraints Tr[M rho] <= 0 with M >= 0.
 
     Such a constraint pins supp(rho) to ker(M).  Returns the reduced set and
     the isometry V with rho = V rho' V^dag; iterates until no reduction fires.
+    Eigenvalues within 1e-11 of zero count as zero.
     """
+    tol = 1e-11
     V = np.eye(fs.dim, dtype=complex)
     cur = fs
     while True:
@@ -182,13 +202,6 @@ def _assemble(fs: FeasibleSet, basis: np.ndarray):
     return eq_mats, Aeq, b, in_mats, Evec, f
 
 
-def _pinch_hessian(Minv: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    # H_kl = Tr[B_k Minv B_l Minv], real symmetric PSD
-    n = basis.shape[0]
-    MB = np.einsum("ab,kbc,cd->kad", Minv, basis, Minv)
-    return np.einsum("kab,lba->kl", basis, MB).real
-
-
 def _newton_equality(Hm, g, Aeq, resid):
     n = Hm.shape[0]
     m = Aeq.shape[0]
@@ -201,86 +214,84 @@ def _newton_equality(Hm, g, Aeq, resid):
         sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:n], sol[n:]
+    return sol[:n]
 
 
-def _max_step(rho, drho, tvals, dt):
-    """Largest step in (0, 1] keeping rho + a*drho > 0 and t + a*dt > 0."""
-    alpha = 1.0
-    lam = herm_eig(rho)[0].min()
-    # eigenvalue-based bound via generalized problem; bisect for simplicity
-    for _ in range(60):
-        ok = herm_eig(rho + alpha * drho)[0].min() > 1e-14 * max(1.0, lam)
-        if ok and (len(tvals) == 0 or (tvals + alpha * dt).min() > 0):
+def _max_step(M, dM, t, dt):
+    """Largest step a in (0, 1] keeping M + a dM > 0 and t + a dt > 0, in
+    closed form: with M = L L^dag, M + a dM = L (I + a L^-1 dM L^-dag) L^dag."""
+    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    a = 1.0
+    lam = np.linalg.eigvalsh(Linv @ dM @ Linv.conj().T)[0]
+    if lam < 0.0:
+        a = min(a, -1.0 / lam)
+    shrink = dt < 0.0
+    if shrink.any():
+        a = min(a, float((t[shrink] / -dt[shrink]).min()))
+    return a
+
+
+def _center(c, lmi, y, mu, Aeq, b, G, g):
+    """Damped Newton steps on
+
+        max c.y + mu (log det M(y) + sum_j log(g - G y)_j)  s.t.  Aeq y = b,
+
+    with M(y) = sum_k y_k lmi[k], from y with M(y) > 0 and g - G y > 0,
+    until the squared Newton decrement is below 1e-16 (at most 100 steps)
+    or a step would end where M(y) no longer has a Cholesky factor; returns
+    the centred y."""
+    n, d, _ = lmi.shape
+    flat = lmi.reshape(n, d * d)
+    M = (y @ flat).reshape(d, d)
+    L = np.linalg.cholesky(M)
+    for _ in range(100):
+        t = g - G @ y
+        # whitened constraint matrices K_k = L^-1 lmi[k] L^-dag, M = L L^dag:
+        # Tr[lmi[k] M^-1] = Tr[K_k], Tr[lmi[k] M^-1 lmi[l] M^-1] = Tr[K_k K_l]
+        Linv = np.linalg.inv(L)
+        K = (Linv @ lmi @ Linv.conj().T).reshape(n, d * d)
+        grad = -c - mu * (K[:, :: d + 1].sum(axis=1).real - G.T @ (1.0 / t))
+        H = mu * ((K @ K.conj().T).real + (G.T / t**2) @ G)
+        dy = _newton_equality(H, grad, Aeq, b - Aeq @ y)
+        dec2 = float(dy @ (H @ dy))
+        step = 0.98 * _max_step(M, (dy @ flat).reshape(d, d), t, -G @ dy) * dy
+        M_next = ((y + step) @ flat).reshape(d, d)
+        try:
+            L = np.linalg.cholesky(M_next)
+        except np.linalg.LinAlgError:
+            break  # rounding leaves the step's end numerically singular
+        y, M = y + step, M_next
+        if dec2 < 1e-16:
             break
-        alpha *= 0.7
-    else:
-        return 0.0
-    return alpha
+    return y
 
 
 def _phase_one(fs: FeasibleSet, basis: np.ndarray):
     """Maximize s with rho - s I >= 0, slack_j >= s; returns strictly feasible
     rho or raises InfeasibleError with the most violated constraint index."""
     d = fs.dim
-    n = d * d
-    eq_mats, Aeq, b, in_mats, Evec, f = _assemble(fs, basis)
+    _, Aeq, b, _, Evec, f = _assemble(fs, basis)
     x = np.linalg.lstsq(Aeq, b, rcond=None)[0]
     if np.abs(Aeq @ x - b).max() > 1e-9 * max(1.0, np.abs(b).max()):
         raise InfeasibleError("equality constraints are inconsistent", constraint_index=0)
-    rho = vec_to_mat(x, basis)
-    tvals = f - Evec @ x if len(f) else np.zeros(0)
-    lam_min = herm_eig(rho)[0].min()
-    s = min(lam_min, tvals.min() if len(tvals) else lam_min) - 1.0
-    scale = max(1.0, np.abs(b).max(), np.abs(f).max() if len(f) else 0.0)
+    lam_min = herm_eig(vec_to_mat(x, basis))[0].min()
+    s = min(lam_min, (f - Evec @ x).min(initial=lam_min)) - 1.0
+    scale = max(1.0, np.abs(b).max(), np.abs(f).max(initial=0.0))
     target = 1e-9 * scale
 
+    # y = (x, s): M(y) = rho - s I and slacks f - Evec x - s
+    lmi = np.concatenate([basis, -np.eye(d, dtype=complex)[None]])
+    Aext = np.hstack([Aeq, np.zeros((len(b), 1))])
+    G = np.hstack([Evec, np.ones((len(f), 1))])
+    c = np.zeros(len(lmi))
+    c[-1] = 1.0
+    y = np.append(x, s)
     mu = max(1.0, abs(s))
-    while mu > 1e-14 * scale:
-        for _ in range(80):
-            M = rho - s * np.eye(d)
-            Minv = np.linalg.inv(M)
-            tv = tvals - s if len(tvals) else tvals
-            g_rho = -mu * mat_to_vec(Minv, basis)
-            g_s = -1.0 + mu * np.trace(Minv).real
-            if len(tv):
-                g_rho += mu * (Evec.T @ (1.0 / tv))
-                g_s += mu * np.sum(1.0 / tv)
-            H_rr = mu * _pinch_hessian(Minv, basis)
-            M2v = mat_to_vec(Minv @ Minv, basis)
-            H_rs = -mu * M2v
-            H_ss = mu * np.trace(Minv @ Minv).real
-            if len(tv):
-                H_rr += mu * (Evec.T * (1.0 / tv**2)) @ Evec
-                H_rs += mu * (Evec.T @ (1.0 / tv**2))
-                H_ss += mu * np.sum(1.0 / tv**2)
-            Hm = np.zeros((n + 1, n + 1))
-            Hm[:n, :n] = H_rr
-            Hm[:n, n] = H_rs
-            Hm[n, :n] = H_rs
-            Hm[n, n] = H_ss
-            Aext = np.hstack([Aeq, np.zeros((Aeq.shape[0], 1))])
-            g = np.concatenate([g_rho, [g_s]])
-            dx, _ = _newton_equality(Hm, g, Aext, b - Aeq @ (x))
-            drho = vec_to_mat(dx[:n], basis)
-            ds = dx[n]
-            dec2 = float(dx @ (Hm @ dx))
-            dE = -Evec @ dx[:n] - ds * np.ones(len(tv)) if len(tv) else np.zeros(0)
-            a = _max_step(rho - s * np.eye(d), drho - ds * np.eye(d),
-                          tv, dE) * 0.98
-            if a <= 0 or dec2 < 1e-18:
-                break
-            x = x + a * dx[:n]
-            rho = vec_to_mat(x, basis)
-            tvals = f - Evec @ x if len(f) else tvals
-            s = s + a * ds
-            if s > 10 * target:
-                return rho, x
-            if dec2 < 1e-14:
-                break
+    while mu > 1e-14 * scale and y[-1] <= 10 * target:
+        y = _center(c, lmi, y, mu, Aext, b, G, f)
         mu *= 0.2
-        if s > 10 * target:
-            return rho, x
+    x, s = y[:-1], y[-1]
+    rho = vec_to_mat(x, basis)
     if s <= target:
         viol = -np.inf
         idx = -1
@@ -307,53 +318,28 @@ def solve_linear_sdp(
     along the identity to repair tiny negative eigenvalues; the reported
     dual_bound accounts for the shift and satisfies optimum <= dual_bound.
     """
-    d = fs.dim
     C = np.asarray(C, dtype=complex)
-    basis = herm_basis(d)
+    basis = herm_basis(fs.dim)
     eq_mats, Aeq, b, in_mats, Evec, f = _assemble(fs, basis)
     cvec = mat_to_vec(C, basis)
-    rho, x = fs.interior_point
-    tvals = f - Evec @ x if len(f) else np.zeros(0)
+    x = fs.interior_point[1]
 
     scale = max(1.0, np.abs(herm_eig(C)[0]).max())
     mu = scale
-    n = d * d
-    lam_eq = np.zeros(len(b))
     best = None  # (gap, SdpResult); dual bounds stay valid across mu values
     while True:
-        for _ in range(100):
-            Minv = np.linalg.inv(rho)
-            g = -cvec - mu * mat_to_vec(Minv, basis)
-            if len(tvals):
-                g += mu * (Evec.T @ (1.0 / tvals))
-            Hm = mu * _pinch_hessian(Minv, basis)
-            if len(tvals):
-                Hm += mu * (Evec.T * (1.0 / tvals**2)) @ Evec
-            dx, lam = _newton_equality(Hm, g, Aeq, b - Aeq @ x)
-            lam_eq = lam / mu if mu else lam
-            dec2 = float(dx @ (Hm @ dx))
-            drho = vec_to_mat(dx, basis)
-            dt = -Evec @ dx if len(tvals) else tvals
-            a = _max_step(rho, drho, tvals, dt) * 0.98
-            if a <= 0:
-                break
-            x = x + a * dx
-            rho = vec_to_mat(x, basis)
-            if len(f):
-                tvals = f - Evec @ x
-            if dec2 < 1e-16:
-                break
+        x = _center(cvec, basis, x, mu, Aeq, b, Evec, f)
+        rho = vec_to_mat(x, basis)
         # dual candidate from barrier multipliers
-        nu = mu / tvals if len(tvals) else np.zeros(0)
+        nu = mu / (f - Evec @ x)
         lam_use = _dual_from_kkt(C, Aeq, in_mats, nu, rho, mu, basis)
         Z = -C + sum(l * A for l, A in zip(lam_use, eq_mats))
         for j, E in enumerate(in_mats):
             Z = Z + nu[j] * E
         zmin = herm_eig(Z)[0].min()
         shift = max(0.0, -zmin) + 1e-15 * scale
-        lam_use = lam_use.copy()
         lam_use[0] += shift  # eq index 0 is the trace constraint
-        dual = float(lam_use @ b + (nu @ f if len(f) else 0.0))
+        dual = float(lam_use @ b + nu @ f)
         primal = float(cvec @ x)
         cand = SdpResult(rho, primal, dual, lam_use, nu)
         if best is not None:  # earlier dual bounds remain certified
@@ -509,10 +495,8 @@ def _fcfw_step(objective, atoms, weights, vertex):
 def sequential_linearization(
     objective,
     fs: FeasibleSet,
-    sigma0: np.ndarray | None = None,
     tol: float = 1e-8,
     max_outer: int = 50,
-    mix: float = 1e-9,
     sdp_gap_tol: float = 1e-7,
 ) -> MaximizeResult:
     """Maximize a concave objective(sigma) -> (value, gradient) over an SDP
@@ -520,14 +504,13 @@ def sequential_linearization(
 
     By concavity every linearization gives a certified upper bound
     f* <= f(s_k) + max_feasible Tr[G_k (s - s_k)], evaluated with the SDP
-    dual bound; the reported upper bound is the running minimum.  Iterates
-    are kept strictly positive by mixing in mix * (trace/d) I.
+    dual bound; the reported upper bound is the running minimum.  The atoms
+    start at the set's phase-one point, and iterates are kept strictly
+    positive by mixing in 1e-9 (trace/d) I.
     """
-    d = fs.dim
-    eye = np.eye(d, dtype=complex) * (fs.trace / d)
-    if sigma0 is None:
-        sigma0 = fs.interior_point[0]
-    atoms = [np.asarray(sigma0, dtype=complex)]
+    mix = 1e-9
+    eye = np.eye(fs.dim, dtype=complex) * (fs.trace / fs.dim)
+    atoms = [fs.interior_point[0]]
     weights = np.array([1.0])
     upper = math.inf
     best_val = -math.inf
@@ -552,12 +535,14 @@ def sequential_linearization(
 # ---------------------------------------------------------------------------
 
 
-def tilted_projection(q: np.ndarray, gamma: np.ndarray, c: float, tol: float = 1e-13):
+def tilted_projection(q: np.ndarray, gamma: np.ndarray, c: float):
     """min_p D(p||q) over the halfspace <gamma, p> >= c (p a distribution).
 
     The minimizer is the exponential tilting p_t = q e^{t gamma} / Z(t) with
-    the smallest t >= 0 meeting the constraint.  Returns (p, D in bits).
+    the smallest t >= 0 meeting the constraint, located to within 1e-13.
+    Returns (p, D in bits).
     """
+    tol = 1e-13
     q = np.asarray(q, dtype=float)
     if q.min() < -1e-14:
         raise DomainError("reference distribution has negative entries")
@@ -600,16 +585,15 @@ def joint_divergence_minimizer(
     q_mats: list[np.ndarray],
     fs: FeasibleSet,
     project,
-    tol: float = 1e-8,
-    max_iter: int = 60,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """min D(p||q(rho)) over p in a convex set and rho feasible, where
     q_i(rho) = Tr[Q_i rho] and project(q) returns the exact minimizer of
     D(p||q) over that set (the p-step).
 
     Alternates the p-step with a fully-corrective Frank-Wolfe step in rho
-    (D(p||q) is convex in q and q is linear in rho).  Returns (divergence in
-    bits, p, rho).
+    (D(p||q) is convex in q and q is linear in rho) for at most 60 rounds,
+    stopping once the divergence changes by at most 1e-8 relative.  Returns
+    (divergence in bits, p, rho).
     """
     q_mats = [np.asarray(Q, dtype=complex) for Q in q_mats]
     rho = fs.interior_point[0]
@@ -621,12 +605,12 @@ def joint_divergence_minimizer(
 
     prev = math.inf
     p = None
-    for _ in range(max_iter):
+    for _ in range(60):
         rho = np.einsum("i,ijk->jk", weights, np.array(atoms))
         q = q_of(rho)
         p = project(q)
         div = divergence_bits(p, q)
-        if abs(prev - div) <= tol * max(1.0, abs(div)):
+        if abs(prev - div) <= 1e-8 * max(1.0, abs(div)):
             return div, p, rho
         prev = div
         support = np.flatnonzero(p > 0)

@@ -351,16 +351,19 @@ def test_conventional_solves_each_threshold_once(monkeypatch):
     cfg = B92Config(n_tot=10**9, seed=1)
     budget = secrecy_budget(cfg, "conventional")
     stats = sample_observed(cfg, 0.01, budget.log2_eps1, np.random.default_rng([1, 0]))
-    thresholds, min_divergence = [], b92._min_divergence
+    thresholds, tops, min_divergence = [], [], b92._min_divergence
 
     def spy(fs, ops, gamma, thresh, q5fix):
         thresholds.append(thresh)
+        tops.append(gamma.max())
         return min_divergence(fs, ops, gamma, thresh, q5fix)
 
     monkeypatch.setattr(b92, "_min_divergence", spy)
     conventional_key_length(cfg, stats, budget)
     assert len(thresholds) > 2  # the root search ran
     assert len(set(thresholds)) == len(thresholds)
+    # the bracket ends at the tested point below gamma.max(), not at it
+    assert all(t < top for t, top in zip(thresholds, tops))
 
 
 def test_auto_alpha_refines_grid_with_brent(monkeypatch):
@@ -416,6 +419,37 @@ def test_auto_alpha_shares_one_acceptance_set(monkeypatch):
     monkeypatch.setattr(b92, "rstar_upper_bound", stub)
     universal_key_length(cfg, stats, budget, rho_expected=None, alpha="auto")
     assert len(runs) == 1
+
+
+def test_asymptotic_face_is_reduced_once(monkeypatch):
+    # asymptotic_rates maximizes twice on one p = 0 set; the face and its
+    # phase-one point stay on the set instead of being rebuilt per call
+    fs = asymptotic_constraint_set(CFG, 0.0, build_povms(CFG))
+    facial_reduce, phase_one = optimize.facial_reduce, optimize._phase_one
+    reduced, runs = [], []
+
+    def count_reduce(fs_):
+        reduced.append(fs_)
+        return facial_reduce(fs_)
+
+    def count_phase_one(fs_, basis):
+        runs.append(fs_)
+        return phase_one(fs_, basis)
+
+    monkeypatch.setattr(optimize, "facial_reduce", count_reduce)
+    monkeypatch.setattr(optimize, "_phase_one", count_phase_one)
+    C = np.diag([1.0, 0.5, -0.5, -1.0]).astype(complex)
+
+    def linear(rho):
+        return float(np.trace(C @ rho).real), C
+
+    for _ in range(2):
+        b92._maximize_entropy(linear, fs, 1e-9, 5)
+    assert len(reduced) == 1 and len(runs) == 1
+    red, V = fs.face
+    assert red.dim < fs.dim
+    with pytest.raises(ValueError):
+        V[0, 0] = 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=InfeasibleError,

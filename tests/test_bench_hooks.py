@@ -3,13 +3,16 @@ skips a name that no longer resolves, so a rename would silently drop its
 metrics and certified records.  Every name it looks up must exist, and a
 wrapped name must still be the one the program calls."""
 
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ucqkd import optimize
 from ucqkd.optimize import FeasibleSet, solve_linear_sdp
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -53,3 +56,14 @@ def test_tracer_counts_phase_one_once_per_set():
     metrics = tracer.metrics(0, 0.0)
     assert metrics["optimize.phase_one.calls"] == 1
     assert metrics["optimize.phase_one.calls_per_set"] == 1.0
+
+
+def test_hooked_argument_and_result_names_exist():
+    # the tracer's hooks bind these arguments by name and read these result
+    # fields, so a rename would crash only traced runs
+    assert "fs" in inspect.signature(optimize._phase_one).parameters
+    params = inspect.signature(optimize.sequential_linearization).parameters
+    assert {"tol", "max_outer", "sdp_gap_tol"} <= set(params)
+    fields = {f.name for f in dataclasses.fields(optimize.MaximizeResult)}
+    assert {"iterations", "upper_bound"} <= fields
+    assert isinstance(inspect.getattr_static(optimize.MaximizeResult, "gap"), property)

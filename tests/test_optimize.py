@@ -156,6 +156,31 @@ def _count_phase_one(monkeypatch):
     return runs
 
 
+def test_max_step_is_the_closed_form_boundary():
+    # the step stops exactly where M + a dM or a slack t + a dt reaches zero,
+    # or at a full step when the boundary lies beyond it
+    rng = np.random.default_rng(7)
+    below_cap = 0
+    for _ in range(200):
+        d = int(rng.integers(2, 6))
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M = A @ A.conj().T + 0.1 * np.eye(d)
+        dM = rng.uniform(0.1, 10.0) * _rand_herm(d, rng)
+        t = rng.uniform(0.1, 1.0, size=4)
+        dt = rng.normal(size=4)
+
+        def inside(a):
+            return herm_eig(M + a * dM)[0].min() > 0.0 and (t + a * dt).min() > 0.0
+
+        a = optimize._max_step(M, dM, t, dt)
+        assert 0.0 < a <= 1.0
+        assert inside((1.0 - 1e-9) * a)
+        if a < 1.0:
+            below_cap += 1
+            assert not inside((1.0 + 1e-6) * a)
+    assert below_cap >= 50
+
+
 def test_phase_one_runs_once_per_set(monkeypatch):
     runs = _count_phase_one(monkeypatch)
     fs = FeasibleSet(dim=2, ineq=CACHE_INEQ)
