@@ -9,7 +9,8 @@ Layered structure:
 - ``schur_weyl``: isotypic projectors and the universal symmetric state that
   polynomially dominates every i.i.d. state.
 - ``matfun`` / ``entropies``: Hermitian matrix calculus, conditional Rényi
-  entropies with the closed-form/direct identity, and the scalar
+  entropies (the Sibson closed form, and a certified bracket on the same
+  maximum from the shared maximizer of ``optimize``), and the scalar
   confidence-bound solvers.
 - ``compression``: universal decoders via operator division and the
   error-exponent bound, with exact desk-scale simulation.

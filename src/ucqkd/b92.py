@@ -28,9 +28,10 @@ from .entropies import (
     solve_delta1,
     solve_delta2,
     solve_r_err,
+    von_neumann_entropy,
 )
 from .errors import DomainError, UsageError
-from .matfun import herm_eig
+from .matfun import herm_eig, partial_trace
 from .optimize import (
     FeasibleSet,
     MaximizeResult,
@@ -152,7 +153,6 @@ class KeyLengthResult:
     eps_achieved: float
     alpha_renyi: float | None = None
     clamped: bool = False
-    infeasible: bool = False
     n_sift: int = 0
 
 
@@ -239,13 +239,8 @@ def depolarized_state(cfg: B92Config, p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise UsageError("depolarizing parameter must lie in [0,1]")
     phi = source_state(cfg)
-    rho_a = _partial_trace_b(phi)
+    rho_a = partial_trace(phi, (2, 2), keep=[0])
     return (1.0 - p) * phi + p * np.kron(rho_a, np.eye(2, dtype=complex) / 2.0)
-
-
-def _partial_trace_b(rho4: np.ndarray) -> np.ndarray:
-    r = rho4.reshape(2, 2, 2, 2)
-    return np.einsum("ikjk->ij", r)
 
 
 def expected_statistics(cfg: B92Config, p: float) -> ExpectedStats:
@@ -780,7 +775,7 @@ def devetak_winter_rate(cfg: B92Config, rho_ab: np.ndarray, q_fil: float) -> flo
     z4 = np.zeros((4, 4), dtype=complex)
     rho_zE = np.block([[blocks[0], z4], [z4, blocks[1]]])
     rho_E = blocks[0] + blocks[1]
-    h_z_e = _entropy_bits(rho_zE) - _entropy_bits(rho_E)
+    h_z_e = von_neumann_entropy(rho_zE) - von_neumann_entropy(rho_E)
 
     # H(Z|Z_B): classical joint of Alice Z and Bob's filtered-qubit Z
     pj = np.array(
@@ -789,12 +784,6 @@ def devetak_winter_rate(cfg: B92Config, rho_ab: np.ndarray, q_fil: float) -> flo
     pzb = pj.sum(axis=0)
     h_z_zb = _h_vec(pj.ravel()) - _h_vec(pzb)
     return h_z_e - h_z_zb
-
-
-def _entropy_bits(m: np.ndarray) -> float:
-    lam = np.clip(herm_eig(m)[0], 0.0, None)
-    lam = lam[lam > 1e-15]
-    return float(-np.sum(lam * np.log2(lam)))
 
 
 def _h_vec(p: np.ndarray) -> float:

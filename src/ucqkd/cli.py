@@ -229,9 +229,7 @@ def _keyrate_point(task: dict) -> dict:
         n_fin=res.n_fin, ec_cost=res.ec_cost, net_key=res.net_key,
         key_rate=res.net_key / cfg.n_tot, eps_sec=res.eps_achieved,
     )
-    if res.infeasible:
-        row.update(key_rate=0.0, flag="infeasible")
-    elif res.clamped:
+    if res.clamped:
         row["flag"] = "clamped"
     return row
 
@@ -485,7 +483,7 @@ def _suite_entropies(check: _Check, quick: bool) -> None:
         for alpha in (0.3, 0.7):
             closed = entropies.conditional_renyi_sibson(src, alpha)
             direct = entropies.conditional_renyi_direct(src, alpha)
-            check(abs(closed - direct) <= 1e-6, "Sibson identity violated")
+            check(abs(closed - direct.upper_bound) <= 1e-6, "Sibson identity violated")
         grid = [entropies.conditional_renyi_sibson(src, a)
                 for a in np.linspace(0.1, 0.9, 9)]
         check(all(x >= y - 1e-12 for x, y in zip(grid, grid[1:])),

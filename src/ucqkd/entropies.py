@@ -1,10 +1,11 @@
 """Scalar information-theoretic kernels.
 
-Rényi divergence, conditional Rényi entropy (Sibson closed form and a
-direct-optimization cross-check), von Neumann conditional entropy, relative
-entropy variance, the binary relative entropy with its concentration-bound
-root-finders delta_1 / delta_2 / r_err, the i.i.d.-reduction factor f_q, and
-the alpha seed heuristic.
+Rényi divergence, conditional Rényi entropy (the Sibson closed form, and a
+certified bracket on the same maximum from the shared maximizer
+`optimize.sequential_linearization`), von Neumann conditional entropy,
+relative entropy variance, the binary relative entropy with its
+concentration-bound root-finders delta_1 / delta_2 / r_err, the
+i.i.d.-reduction factor f_q, and the alpha seed heuristic.
 
 All logarithms are base 2; every entropy is in bits.  alpha = 1 is always
 handled by the dedicated von Neumann path, never by a limiting formula.
@@ -23,11 +24,13 @@ from .errors import DomainError, InvariantError, UsageError
 from .matfun import (
     EIG_CLAMP,
     check_hermitian,
+    frechet_derivative,
     herm_eig,
     mlog2,
     mpow,
     partial_trace,
 )
+from .optimize import FeasibleSet, MaximizeResult, sequential_linearization
 
 LN2 = math.log(2.0)
 
@@ -123,18 +126,14 @@ def conditional_renyi_sibson(source, alpha: float) -> float:
     return _sibson_from_blocks(blocks, alpha)
 
 
-def conditional_renyi_direct(
-    source,
-    alpha: float,
-    restarts: int = 20,
-    iters: int = 400,
-    seed: int = 7,
-) -> float:
-    """max_sigma -D_alpha(rho_XB || I x sigma) by projected gradient ascent.
+def conditional_renyi_direct(source, alpha: float) -> MaximizeResult:
+    """max_sigma -D_alpha(rho_XB || I x sigma) as a certified bracket in bits.
 
-    Cross-check oracle only: maximizes the concave map
-    sigma -> Tr[M sigma^(1-alpha)] with M = sum_x (p(x) rho_B^x)^alpha over
-    the density-matrix simplex, with random restarts.
+    Maximizes the concave map sigma -> (1/b) log2 Tr[M sigma^b], with
+    M = sum_x (p(x) rho_B^x)^alpha and b = 1 - alpha, over density matrices
+    with the shared maximizer `sequential_linearization`; the optimum lies in
+    [value, upper_bound] of the returned result.  The optimizer never sees
+    the Sibson closed form, so the two computations check each other.
     """
     if not 0 < alpha < 1:
         raise UsageError(f"direct path requires alpha in (0,1), got {alpha}")
@@ -143,63 +142,16 @@ def conditional_renyi_direct(
     if d > 8:
         raise UsageError("direct optimization capped at dim 8")
     M = sum(mpow(b, alpha) for b in blocks)
-    rng = np.random.default_rng(seed)
     beta = 1.0 - alpha
 
-    def objective(sig):
-        return np.trace(M @ mpow(sig, beta)).real
+    def objective(sigma):
+        T = float(np.trace(M @ mpow(sigma, beta)).real)
+        grad = frechet_derivative(
+            lambda t: t**beta, lambda t: beta * t ** (beta - 1.0), sigma, M
+        ) / (beta * LN2 * T)
+        return math.log2(T) / beta, 0.5 * (grad + grad.conj().T)
 
-    best = -math.inf
-    for r in range(restarts):
-        if r == 0:
-            sig = np.eye(d, dtype=complex) / d
-        else:
-            G = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            sig = G @ G.conj().T
-            sig /= np.trace(sig).real
-        step = 0.5
-        cur = objective(sig)
-        for _ in range(iters):
-            lam, U = herm_eig(sig)
-            lam = np.maximum(lam, EIG_CLAMP)
-            Mt = U.conj().T @ M @ U
-            a, b = lam[:, None], lam[None, :]
-            diff = a - b
-            close = np.abs(diff) < 1e-9
-            fd = np.where(
-                close,
-                beta * ((a + b) / 2.0) ** (beta - 1.0),
-                (a**beta - b**beta) / np.where(close, 1.0, diff),
-            )
-            grad = U @ (fd * Mt) @ U.conj().T
-            grad = 0.5 * (grad + grad.conj().T)
-            while step > 1e-12:
-                cand = _simplex_project(sig + step * grad)
-                cval = objective(cand)
-                if cval > cur + 1e-15:
-                    sig, cur = cand, cval
-                    step *= 1.3
-                    break
-                step *= 0.5
-            else:
-                break
-        best = max(best, cur)
-    return (1.0 / beta) * math.log2(max(best, 1e-300))
-
-
-def _simplex_project(H: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a Hermitian matrix onto density matrices."""
-    lam, U = herm_eig(H)
-    mu = _project_prob_simplex(lam)
-    return (U * mu) @ U.conj().T
-
-
-def _project_prob_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho_idx = np.nonzero(u - css / (np.arange(len(v)) + 1) > 0)[0][-1]
-    theta = css[rho_idx] / (rho_idx + 1)
-    return np.maximum(v - theta, 0.0)
+    return sequential_linearization(objective, FeasibleSet(dim=d))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

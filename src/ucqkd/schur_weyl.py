@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -204,25 +203,9 @@ class IsotypicBlock:
     dimV: int
 
 
-_block_cache: dict[tuple[int, int], list[IsotypicBlock]] = {}
-_block_lock = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def build_isotypic_blocks(n: int, d: int) -> list[IsotypicBlock]:
     """Central Young projectors for (C^d)^{tensor n}, memoized per (n, d)."""
-    key = (n, d)
-    blocks = _block_cache.get(key)
-    if blocks is not None:
-        return blocks
-    with _block_lock:
-        blocks = _block_cache.get(key)
-        if blocks is None:
-            blocks = _build_isotypic_blocks(n, d)
-            _block_cache[key] = blocks
-    return blocks
-
-
-def _build_isotypic_blocks(n: int, d: int) -> list[IsotypicBlock]:
     dim = d**n
     if dim > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor dimension {dim} exceeds {MAX_TENSOR_DIM}")
@@ -254,14 +237,18 @@ def _build_isotypic_blocks(n: int, d: int) -> list[IsotypicBlock]:
     return blocks
 
 
+@lru_cache(maxsize=None)
 def universal_symmetric_state(n: int, d: int) -> np.ndarray:
-    """sigma_{U,n}: uniform mixture of normalized isotypic projectors."""
+    """sigma_{U,n}: uniform mixture of normalized isotypic projectors,
+    memoized per (n, d) and read-only."""
     blocks = build_isotypic_blocks(n, d)
     dim = d**n
     out = np.zeros((dim, dim), dtype=float)
     for blk in blocks:
         out += blk.projector / np.trace(blk.projector)
-    return out / len(blocks)
+    out /= len(blocks)
+    out.flags.writeable = False
+    return out
 
 
 def domination_factor(n: int, d: int, alphabet_size: int = 1) -> float:

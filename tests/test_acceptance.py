@@ -123,7 +123,8 @@ def test_03_sibson_identity():
         alpha = float(rng.uniform(0.05, 0.95))
         closed = conditional_renyi_sibson(src, alpha)
         direct = conditional_renyi_direct(src, alpha)
-        assert abs(closed - direct) <= 1e-6
+        assert abs(closed - direct.upper_bound) <= 1e-6
+        assert direct.value - 1e-12 <= closed <= direct.upper_bound + 1e-12
 
 
 def test_03_sibson_monotone_and_limit():

@@ -50,7 +50,8 @@ def test_sibson_closed_form_equals_direct():
         alpha = float(rng.uniform(0.05, 0.95))
         closed = conditional_renyi_sibson(src, alpha)
         direct = conditional_renyi_direct(src, alpha)
-        assert abs(closed - direct) <= 1e-6
+        assert abs(closed - direct.upper_bound) <= 1e-6
+        assert direct.value - 1e-12 <= closed <= direct.upper_bound + 1e-12
 
 
 def test_sibson_monotone_in_alpha():

@@ -147,6 +147,14 @@ def test_universal_state_dominates_iid(n):
         assert herm_eig(c * sig - rho_n)[0].min() >= -1e-10
 
 
+def test_universal_state_is_memoized_read_only():
+    sig = universal_symmetric_state(3, 2)
+    assert universal_symmetric_state(3, 2) is sig
+    assert not sig.flags.writeable
+    with pytest.raises(ValueError):
+        sig[0, 0] = 0.0
+
+
 def test_types_and_classes():
     n, k = 4, 2
     types = enumerate_types(n, k)
