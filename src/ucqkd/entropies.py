@@ -194,13 +194,38 @@ def binary_relative_entropy(p: float, q: float) -> float:
     return float(val) / LN2 if math.isfinite(val) else math.inf
 
 
-def _bisect_monotone(f, lo: float, hi: float):
-    """Root of increasing f on [lo, hi] via Brent with a residual guarantee."""
+def _bisect_monotone(f, lo: float, hi: float) -> float:
+    """Root of increasing f on [lo, hi] (0 <= lo), rounded to the safe side:
+    the smallest float x >= r with f(x) >= 0, where r is Brent's root.
+
+    Every caller widens a confidence interval by the root, so rounding up is
+    the safe direction.  When f(r) < 0 the rounding bisects the IEEE-754 bit
+    patterns of (r, hi], whose int64 order is the order of the non-negative
+    floats: at most 64 evaluations, ending at adjacent floats with f < 0
+    below and f >= 0 at the returned x.
+    """
     flo, fhi = f(lo), f(hi)
     if flo > 0 or fhi < 0:
         raise DomainError("root finder: no sign change on the given bracket")
-    root = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    root = float(brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200))
+    if f(root) >= 0:
+        return root
+    a, b = _float_bits(root), _float_bits(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if f(_bits_float(mid)) >= 0:
+            b = mid
+        else:
+            a = mid
+    return _bits_float(b)
+
+
+def _float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _bits_float(i: int) -> float:
+    return float(np.int64(i).view(np.float64))
 
 
 def _log2_eps(eps, log2_eps):

@@ -458,6 +458,7 @@ class MaximizeResult:
     upper_bound: float  # certified upper bound on the optimum
     sigma: np.ndarray
     iterations: int
+    stop: str  # "converged", "sdp_floor" or "max_outer"
 
     @property
     def gap(self) -> float:
@@ -507,6 +508,14 @@ def sequential_linearization(
     dual bound; the reported upper bound is the running minimum.  The atoms
     start at the set's phase-one point, and iterates are kept strictly
     positive by mixing in 1e-9 (trace/d) I.
+
+    Each bound is f(s_k) + (primal - Tr[G_k s_k]) + gap, with primal and gap
+    those of the SDP certificate.  Further iterations can shrink only the
+    Frank-Wolfe part (primal - Tr[G_k s_k]), not the certificate's own gap
+    (about sdp_gap_tol * max(1, ||G_k||)), so the loop stops once
+    upper - best <= max(tol, 2 sdp_gap_tol) + gap.  `stop` records why:
+    "converged" when the test holds without the gap term, "sdp_floor" when
+    only the gap term meets it, "max_outer" when the iterations ran out.
     """
     mix = 1e-9
     eye = np.eye(fs.dim, dtype=complex) * (fs.trace / fs.dim)
@@ -515,6 +524,8 @@ def sequential_linearization(
     upper = math.inf
     best_val = -math.inf
     best_sigma = atoms[0]
+    stop_tol = max(tol, 2.0 * sdp_gap_tol)
+    stop = "max_outer"
     for it in range(1, max_outer + 1):
         sigma = np.einsum("i,ijk->jk", weights, np.array(atoms))
         sig_reg = (1.0 - mix) * sigma + mix * eye
@@ -524,10 +535,15 @@ def sequential_linearization(
         res = solve_linear_sdp(grad, fs, gap_tol=sdp_gap_tol)
         lin_upper = val + (res.dual_bound - float(np.trace(grad @ sig_reg).real))
         upper = min(upper, lin_upper)
-        if upper - best_val <= max(tol, 2.0 * sdp_gap_tol):
+        if upper - best_val <= stop_tol:
+            stop = "converged"
+            break
+        if upper - best_val <= stop_tol + max(res.gap, 0.0):
+            stop = "sdp_floor"
             break
         atoms, weights = _fcfw_step(objective, atoms, weights, res.rho)
-    return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma, iterations=it)
+    return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma,
+                          iterations=it, stop=stop)
 
 
 # ---------------------------------------------------------------------------

@@ -452,6 +452,33 @@ def test_asymptotic_face_is_reduced_once(monkeypatch):
         V[0, 0] = 0.0
 
 
+def test_universal_point_work_budget(monkeypatch):
+    # the benchmark's universal point: each R* maximization stops once only
+    # the SDP certificate's own gap is left, long before max_outer
+    cfg = B92Config(n_tot=10**10, seed=1)
+    budget = secrecy_budget(cfg, "universal")
+    stats = sample_observed(cfg, 0.005, budget.log2_eps1, np.random.default_rng([1, 0]))
+    solve, linearize = optimize.solve_linear_sdp, b92.sequential_linearization
+    solves, stops = [], []
+
+    def count(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def record(*args, **kwargs):
+        res = linearize(*args, **kwargs)
+        stops.append(res.stop)
+        return res
+
+    monkeypatch.setattr(optimize, "solve_linear_sdp", count)
+    monkeypatch.setattr(b92, "solve_linear_sdp", count)
+    monkeypatch.setattr(b92, "sequential_linearization", record)
+    universal_key_length(cfg, stats, budget,
+                         rho_expected=depolarized_state(cfg, 0.005), alpha="auto")
+    assert len(stops) > 12 and "max_outer" not in stops
+    assert len(solves) <= 150
+
+
 @pytest.mark.xfail(strict=True, raises=InfeasibleError,
                    reason="phase one finds no strictly feasible point when the "
                           "bit-error bound is below the SDP's absolute tolerance")

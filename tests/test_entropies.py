@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from ucqkd import b92, entropies
 from ucqkd.entropies import (
     CqSource,
     alpha_heuristic,
@@ -180,6 +182,37 @@ def test_r_err_residual_and_edge_cases():
     assert abs(binary_relative_entropy(p_obs, q) - target) <= 1e-10
     assert r > p_obs
     assert solve_r_err(100, 100, 0, 1.0) == 0.0  # eps=1: no slack needed
+
+
+def test_roots_round_up_to_the_safe_side(monkeypatch):
+    # the delta_2 and r_err roots of the conventional point p=0.02,
+    # n_tot=1e11, and r_err at p=0, n_tot=1e12, where Brent's xtol of 1e-16
+    # spans ~1e9 floats of the 4.2e-10 root
+    seen, bisect = [], entropies._bisect_monotone
+
+    def spy(f, lo, hi):
+        x = bisect(f, lo, hi)
+        seen.append((f, lo, hi, x))
+        return x
+
+    monkeypatch.setattr(entropies, "_bisect_monotone", spy)
+    for p, n_tot in ((0.02, 10**11), (0.0, 10**12)):
+        cfg = b92.B92Config(n_tot=n_tot, seed=1)
+        budget = b92.secrecy_budget(cfg, "conventional")
+        stats = b92.sample_observed(cfg, p, budget.log2_eps1, np.random.default_rng([1, 0]))
+        if p > 0.0:
+            b92.constraint_set_B(stats, cfg.splits, budget.log2_eps2, b92.build_povms(cfg))
+        b92._ec_cost(stats, budget)
+    rounded = []
+    for f, lo, hi, x in seen:
+        r = brentq(f, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+        # the smallest float x >= r with f(x) >= 0
+        assert x >= r and f(x) >= 0.0
+        if x > r:
+            assert f(np.nextafter(x, lo)) < 0.0
+        rounded.append(x > r)
+    # Brent lands below the crossing for two delta_2 roots and both r_err
+    assert sum(rounded) >= 4 and rounded[-1]
 
 
 def test_binary_entropy_and_relative_entropy():

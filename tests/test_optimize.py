@@ -369,6 +369,64 @@ def test_sequential_linearization_scipy_cross_check():
     assert res.upper_bound >= -best - 1e-8
 
 
+# two qubits, key register the first; the Bell-diagonal state with weights
+# (0.75, 0.15, 0.05, 0.05) has <ZZ> = 0.8 and <XX> = 0.6, so it is feasible
+ZZ = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+XX = np.kron(X2, X2)
+KEY_PINCH_4 = [np.kron(P, np.eye(2)) for P in KEY_PINCH]
+BELL = [np.array(v) / math.sqrt(2.0)
+        for v in ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])]
+KNOWN_FEASIBLE = sum(w * np.outer(v, v) for w, v in zip((0.75, 0.15, 0.05, 0.05), BELL))
+
+
+def _renyi_4(s):
+    return renyi_objective_and_gradient(s, 0.3, KEY_PINCH_4, 1.0)
+
+
+def _acceptance_4():
+    return FeasibleSet(dim=4, eq=[(ZZ, 0.8)], ineq=[(-XX, -0.5)])
+
+
+@pytest.mark.parametrize("tol,sdp_gap_tol", [(1e-8, 1e-7), (1e-9, 1e-8), (1e-3, 1e-7)])
+def test_stop_brackets_within_the_sdp_gap(monkeypatch, tol, sdp_gap_tol):
+    # replay the outer loop from its iterates (the last objective call before
+    # each SDP solve is the iterate) and its SDP certificates
+    solve, point, steps = optimize.solve_linear_sdp, [], []
+
+    def objective(s):
+        point[:] = [s, *_renyi_4(s)]
+        return point[1], point[2]
+
+    def spy(C, fs, gap_tol=1e-7):
+        res = solve(C, fs, gap_tol=gap_tol)
+        steps.append((*point, res))
+        return res
+
+    monkeypatch.setattr(optimize, "solve_linear_sdp", spy)
+    res = sequential_linearization(objective, _acceptance_4(), tol=tol,
+                                   sdp_gap_tol=sdp_gap_tol, max_outer=40)
+    assert res.stop != "max_outer" and res.iterations == len(steps) < 40
+    stop_tol = max(tol, 2.0 * sdp_gap_tol)
+    upper, best, met = math.inf, -math.inf, []
+    for s, val, grad, sdp in steps:
+        upper = min(upper, val + (sdp.dual_bound - float(np.trace(grad @ s).real)))
+        best = max(best, val)
+        met.append(upper - best <= stop_tol + max(sdp.gap, 0.0))
+    # the loop stops at the first iteration within tolerance plus the gap
+    assert met[-1] and not any(met[:-1])
+    assert (upper, best) == (res.upper_bound, res.value)
+    G = steps[-1][2]
+    assert res.gap <= stop_tol + sdp_gap_tol * max(1.0, np.abs(herm_eig(G)[0]).max())
+    assert (res.gap <= stop_tol) == (res.stop == "converged")
+    assert res.upper_bound >= _renyi_4(KNOWN_FEASIBLE)[0]
+
+
+def test_stop_reports_max_outer():
+    res = sequential_linearization(_renyi_4, _acceptance_4(), max_outer=1)
+    assert res.stop == "max_outer" and res.iterations == 1
+    assert res.gap > 1e-2  # the phase-one point is far from the maximum
+
+
 def test_pinch_is_projection():
     rng = np.random.default_rng(6)
     s = _rand_herm(2, rng)
