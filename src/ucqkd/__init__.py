@@ -14,9 +14,10 @@ Layered structure:
   confidence-bound solvers.
 - ``compression``: universal decoders via operator division and the
   error-exponent bound, with exact desk-scale simulation.
-- ``optimize``: certified log-barrier SDP, facial reduction, concave
-  maximization by sequential linearization, and one alternating divergence
-  minimizer; both share one fully-corrective Frank-Wolfe weight step.
+- ``optimize``: certified log-barrier SDP, facial reduction, the exact
+  tilted projection onto a halfspace, and one concave maximizer,
+  sequential linearization with a fully-corrective Frank-Wolfe weight step;
+  ``b92`` hands it the Sanov divergence minimum as -min_p D(p||q(rho)).
   Phase one and the SDP solve share one barrier-Newton core, and phase one
   and facial reduction run once per feasible set.
 - ``b92``: protocol POVMs, acceptance sets, finite-size key lengths for the

@@ -33,9 +33,10 @@ from .entropies import (
 from .errors import DomainError, UsageError
 from .matfun import herm_eig, partial_trace
 from .optimize import (
+    LN2,
     FeasibleSet,
     MaximizeResult,
-    joint_divergence_minimizer,
+    divergence_bits,
     renyi_objective_and_gradient,
     sequential_linearization,
     solve_linear_sdp,
@@ -396,16 +397,14 @@ def _reduced_objective(objective, V: np.ndarray):
     return wrapped
 
 
-def _maximize_entropy(
-    objective, fs: FeasibleSet, tol: float, max_outer: int
-) -> MaximizeResult:
+def _maximize_entropy(objective, fs: FeasibleSet, max_outer: int) -> MaximizeResult:
     red, V = fs.face
     if red.dim < fs.dim:
         res = sequential_linearization(
-            _reduced_objective(objective, V), red, tol=tol, max_outer=max_outer
+            _reduced_objective(objective, V), red, max_outer=max_outer
         )
         return replace(res, sigma=V @ res.sigma @ V.conj().T)
-    return sequential_linearization(objective, fs, tol=tol, max_outer=max_outer)
+    return sequential_linearization(objective, fs, max_outer=max_outer)
 
 
 def renyi_entropy_objective(cfg: B92Config, alpha: float):
@@ -429,7 +428,7 @@ def rstar_upper_bound(
     alpha: float,
 ) -> MaximizeResult:
     """Certified upper bound on max_{rho in B} H^up_{1-alpha}(X|A'B')."""
-    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs, 1e-7, 40)
+    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs, 40)
 
 
 def universal_key_length(
@@ -437,7 +436,6 @@ def universal_key_length(
     stats: ObservedStats,
     budget: EpsBudget,
     rho_expected: np.ndarray | None = None,
-    alpha: float | str | None = None,
 ) -> KeyLengthResult:
     """Final key length of the universal-coding analysis.
 
@@ -471,7 +469,7 @@ def universal_key_length(
         )
         return n1 - syn
 
-    alpha = cfg.alpha_renyi if alpha is None else alpha
+    alpha = cfg.alpha_renyi
     if alpha == "auto":
         seed = _alpha_seed(cfg, stats, budget, fs, rho_expected)
         alpha, n_fin = _auto_alpha(n_fin_at, seed)
@@ -621,13 +619,34 @@ def _pattern_objective(povms: PovmSet):
 
 def _min_divergence(fs, ops, gamma, thresh, q5fix):
     """min over p = ((1 - q5fix) u, q5fix), with the sifted part u in the
-    halfspace <gamma,u> >= thresh, and rho feasible of D(p||q(rho))."""
+    halfspace <gamma,u> >= thresh, and rho feasible of D(p||q(rho)), where
+    q_i(rho) = Tr[ops_i rho] and the last outcome is the unfiltered one.
+    Returns (divergence, MaximizeResult): the divergence of the best
+    feasible rho, an upper bound on the minimum; -upper_bound of the result
+    is a certified lower bound.
 
-    def project(q):
-        u, _ = tilted_projection(np.clip(q[:4], 0.0, None), gamma, thresh)
-        return np.append((1.0 - q5fix) * u, q5fix)
+    g(rho) = -min_p D(p||q(rho)) is concave (a partial minimization of a
+    jointly convex function) and the p-step, tilting the sifted part of q,
+    is exact, so by Danskin's theorem g has the gradient
+    sum_i p*_i / (q_i ln 2) ops_i.  Its identity part is dropped, which is
+    exact since the trace is fixed on the set.  The SDP tolerance is 1e-8:
+    the default 1e-7 leaves the divergence high enough to raise the key
+    length on the acceptance sweep, and at 1e-9 the SDP solve stalls on
+    some acceptance sets.
+    """
+    ops = np.array(ops, dtype=complex)
+    eye = np.eye(fs.dim)
 
-    return joint_divergence_minimizer(ops, fs, project)
+    def objective(rho):
+        q = np.clip(np.einsum("kij,ji->k", ops, rho).real, 1e-300, None)
+        u, _ = tilted_projection(q[:-1], gamma, thresh)
+        p = np.append((1.0 - q5fix) * u, q5fix)
+        grad = np.einsum("k,kij->ij", p / (q * LN2), ops)
+        grad = grad - (np.trace(grad).real / fs.dim) * eye
+        return -divergence_bits(p, q), 0.5 * (grad + grad.conj().T)
+
+    res = sequential_linearization(objective, fs, sdp_gap_tol=1e-8)
+    return -res.value, res
 
 
 def conventional_key_length(
@@ -654,7 +673,7 @@ def conventional_key_length(
         return replace(base, clamped=True)
     q5fix = 1.0 - n1 / n_extr
 
-    res = _maximize_entropy(_pattern_objective(povms), fs, 1e-8, 40)
+    res = _maximize_entropy(_pattern_objective(povms), fs, 40)
     qstar = np.array([float(np.trace(O @ res.sigma).real) for O in ops])
     mass = float(qstar[:4].sum())
     ustar = np.clip(qstar[:4], 0.0, None)
@@ -735,8 +754,8 @@ def asymptotic_rates(cfg: B92Config, p: float) -> dict:
     e_bit = min(max(q.q_bit / q.q_fil, 0.0), 1.0)
     ec = binary_entropy(min(e_bit, 0.5))
 
-    uni = _maximize_entropy(_vn_objective(cfg, q.q_fil), fs, 1e-9, 60)
-    conv = _maximize_entropy(_pattern_objective(povms), fs, 1e-9, 60)
+    uni = _maximize_entropy(_vn_objective(cfg, q.q_fil), fs, 60)
+    conv = _maximize_entropy(_pattern_objective(povms), fs, 60)
     dw = devetak_winter_rate(cfg, uni.sigma, q.q_fil)
     # the certified entropy upper bounds give pessimistic (secure) rates
     return {

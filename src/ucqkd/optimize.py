@@ -1,9 +1,10 @@
 """Convex optimization kernels: a self-contained log-barrier interior-point
 solver for linear SDPs with certified dual bounds, concave entropy objectives
 with Frechet-derivative gradients, sequential linearization (outer
-approximation) for maximizing those objectives over SDP feasible sets, and an
-alternating (Csiszar-Tusnady) minimizer for classical relative entropy over a
-product of convex sets.
+approximation) for maximizing concave objectives over SDP feasible sets, and
+the exact tilted projection of a distribution onto a halfspace.  Sequential
+linearization is the one optimizer loop: a classical divergence minimized
+over a state set is handed to it as the concave objective -min_p D(p||q(rho)).
 
 All certified bounds are one-sided in the safe direction: SDP maximizations
 report a dual upper bound, sequential linearization reports the minimum of
@@ -17,10 +18,9 @@ full Newton step; `_max_step` finds that step in closed form from one
 Cholesky factor.
 
 Phase one runs once per feasible set: a `FeasibleSet` keeps its strictly
-feasible point, and every SDP solve, linearization and divergence
-minimization on that same object starts from it.  Linearization changes
-only the objective, so the feasible set, and with it the starting point,
-stays fixed for a whole run.  The set keeps its facial-reduction face too,
+feasible point, and every SDP solve and linearization on that same object
+starts from it.  Linearization changes only the objective, so the feasible
+set, and with it the starting point, stays fixed for a whole run.  The set keeps its facial-reduction face too,
 so maximizations that reduce one set share the reduced set and its
 phase-one point.
 """
@@ -179,8 +179,6 @@ class SdpResult:
     rho: np.ndarray
     primal: float
     dual_bound: float  # certified: optimum <= dual_bound
-    eq_multipliers: np.ndarray
-    ineq_multipliers: np.ndarray
 
     @property
     def gap(self) -> float:
@@ -341,7 +339,7 @@ def solve_linear_sdp(
         lam_use[0] += shift  # eq index 0 is the trace constraint
         dual = float(lam_use @ b + nu @ f)
         primal = float(cvec @ x)
-        cand = SdpResult(rho, primal, dual, lam_use, nu)
+        cand = SdpResult(rho, primal, dual)
         if best is not None:  # earlier dual bounds remain certified
             cand.dual_bound = min(cand.dual_bound, best[1].dual_bound)
         gap = cand.dual_bound - cand.primal
@@ -547,7 +545,7 @@ def sequential_linearization(
 
 
 # ---------------------------------------------------------------------------
-# Classical divergence minimization over a product of convex sets
+# Classical divergence projection
 # ---------------------------------------------------------------------------
 
 
@@ -595,48 +593,3 @@ def divergence_bits(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[mask] <= 0):
         return math.inf
     return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
-
-
-def joint_divergence_minimizer(
-    q_mats: list[np.ndarray],
-    fs: FeasibleSet,
-    project,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """min D(p||q(rho)) over p in a convex set and rho feasible, where
-    q_i(rho) = Tr[Q_i rho] and project(q) returns the exact minimizer of
-    D(p||q) over that set (the p-step).
-
-    Alternates the p-step with a fully-corrective Frank-Wolfe step in rho
-    (D(p||q) is convex in q and q is linear in rho) for at most 60 rounds,
-    stopping once the divergence changes by at most 1e-8 relative.  Returns
-    (divergence in bits, p, rho).
-    """
-    q_mats = [np.asarray(Q, dtype=complex) for Q in q_mats]
-    rho = fs.interior_point[0]
-    atoms = [rho]
-    weights = np.array([1.0])
-
-    def q_of(r):
-        return np.array([float(np.trace(Q @ r).real) for Q in q_mats])
-
-    prev = math.inf
-    p = None
-    for _ in range(60):
-        rho = np.einsum("i,ijk->jk", weights, np.array(atoms))
-        q = q_of(rho)
-        p = project(q)
-        div = divergence_bits(p, q)
-        if abs(prev - div) <= 1e-8 * max(1.0, abs(div)):
-            return div, p, rho
-        prev = div
-        support = np.flatnonzero(p > 0)
-
-        def cross(r):
-            # sum_i p_i log2 q_i(r): -D(p||q(r)) up to the constant -H(p)
-            q = np.clip(q_of(r), 1e-300, None)
-            grad = sum((p[i] / (q[i] * LN2)) * q_mats[i] for i in support)
-            return float(p[support] @ np.log2(q[support])), 0.5 * (grad + grad.conj().T)
-
-        res = solve_linear_sdp(cross(rho)[1], fs, gap_tol=1e-8)
-        atoms, weights = _fcfw_step(cross, atoms, weights, res.rho)
-    return prev, p, rho

@@ -2,6 +2,7 @@
 and the finite-size/asymptotic key lengths."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from ucqkd.b92 import (
 from ucqkd.entropies import binary_entropy, solve_delta2
 from ucqkd.errors import InfeasibleError, UsageError
 from ucqkd.matfun import herm_eig, partial_trace
+from ucqkd.optimize import divergence_bits, solve_linear_sdp, tilted_projection
 
 CFG = B92Config(n_tot=10**6)
 ALPHA2 = CFG.amp**2
@@ -268,7 +270,7 @@ def test_universal_key_length_basics():
     assert res.eps_achieved <= cfg.target_eps_sec * (1 + 1e-9)
     assert abs(res.syndrome_bits - (stats.n_sift - res.n_fin)) <= 1e-6
     # smaller alpha pays a larger (1/alpha) eps term: rate must drop
-    res_tiny = universal_key_length(cfg, stats, budget, alpha=1e-4)
+    res_tiny = universal_key_length(replace(cfg, alpha_renyi=1e-4), stats, budget)
     assert res_tiny.n_fin < res.n_fin
 
 
@@ -343,6 +345,9 @@ def test_conventional_bound_covers_halfspace_maximum(monkeypatch):
     h_hat = phase_entropy(u)
     assert h_hat > maxima[0].upper_bound
     assert res.n_fin <= stats.n_sift * (1.0 - h_hat) - budget.s
+    # an alternating divergence minimizer that stopped above the minimum,
+    # so too low a threshold, gave 59469584.66 here; the key must not rise
+    assert res.n_fin <= 59469584.66
 
 
 def test_conventional_solves_each_threshold_once(monkeypatch):
@@ -364,6 +369,66 @@ def test_conventional_solves_each_threshold_once(monkeypatch):
     assert len(set(thresholds)) == len(thresholds)
     # the bracket ends at the tested point below gamma.max(), not at it
     assert all(t < top for t, top in zip(thresholds, tops))
+
+
+def _divergence_point():
+    """The acceptance set at p=0.01, n_tot=1e9 (seed 1) and a threshold on
+    the sifted outcomes that the expected state misses."""
+    cfg = B92Config(n_tot=10**9, seed=1)
+    budget = secrecy_budget(cfg, "conventional")
+    stats = sample_observed(cfg, 0.01, budget.log2_eps1, np.random.default_rng([1, 0]))
+    povms = build_povms(cfg)
+    fs = constraint_set_B(stats, cfg.splits, budget.log2_eps2, povms)
+    ops = outcome_operators(povms)
+    rho = depolarized_state(cfg, 0.01)
+    q = np.array([float(np.trace(O @ rho).real) for O in ops])
+    _, gamma = phase_entropy_and_gradient(q[:4])
+    t = float(gamma @ q[:4]) / q[:4].sum()
+    return fs, ops, gamma, t + 0.05 * (gamma.max() - t), 1.0 - stats.n_sift / cfg.splits[0]
+
+
+def test_min_divergence_danskin_gradient(monkeypatch):
+    # the objective handed to the maximizer is -min_p D(p||q(rho)); its
+    # gradient must match finite differences along traceless directions
+    fs, ops, gamma, thresh, q5fix = _divergence_point()
+    objectives, linearize = [], b92.sequential_linearization
+
+    def record(objective, *args, **kwargs):
+        objectives.append(objective)
+        return linearize(objective, *args, **kwargs)
+
+    monkeypatch.setattr(b92, "sequential_linearization", record)
+    b92._min_divergence(fs, ops, gamma, thresh, q5fix)
+    objective = objectives[0]
+    rng = np.random.default_rng(3)
+    rho = fs.interior_point[0]
+    _, grad = objective(rho)
+    assert abs(np.trace(grad)) <= 1e-9 * np.abs(grad).max()
+    h = 1e-6
+    for _ in range(5):
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        H = A + A.conj().T
+        H -= np.trace(H).real / 4 * np.eye(4)
+        fd = (objective(rho + h * H)[0] - objective(rho - h * H)[0]) / (2 * h)
+        assert abs(fd - float(np.trace(grad @ H).real)) <= 1e-6 * max(1.0, abs(fd))
+
+
+def test_min_divergence_certified_lower_bound():
+    # -upper_bound is below the divergence of every feasible state: the one
+    # returned, the phase-one point and SDP optima for random objectives
+    fs, ops, gamma, thresh, q5fix = _divergence_point()
+    div, res = b92._min_divergence(fs, ops, gamma, thresh, q5fix)
+    lower = -res.upper_bound
+    assert lower <= div <= lower + 1e-7
+    rng = np.random.default_rng(4)
+    states = [res.sigma, fs.interior_point[0]]
+    for _ in range(3):
+        A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        states.append(solve_linear_sdp(A + A.conj().T, fs).rho)
+    for rho in states:
+        q = np.array([float(np.trace(O @ rho).real) for O in ops])
+        u, _ = tilted_projection(q[:4], gamma, thresh)
+        assert lower <= divergence_bits(np.append((1.0 - q5fix) * u, q5fix), q) + 1e-12
 
 
 def test_auto_alpha_refines_grid_with_brent(monkeypatch):
@@ -389,7 +454,7 @@ def test_auto_alpha_refines_grid_with_brent(monkeypatch):
 
     monkeypatch.setattr(b92, "rstar_upper_bound", stub)
     res = universal_key_length(
-        cfg, stats, budget, rho_expected=depolarized_state(cfg, 0.005), alpha="auto"
+        cfg, stats, budget, rho_expected=depolarized_state(cfg, 0.005)
     )
     assert res.alpha_renyi in calls
     assert 12 < len(calls) <= 30
@@ -417,7 +482,7 @@ def test_auto_alpha_shares_one_acceptance_set(monkeypatch):
 
     monkeypatch.setattr(optimize, "_phase_one", count)
     monkeypatch.setattr(b92, "rstar_upper_bound", stub)
-    universal_key_length(cfg, stats, budget, rho_expected=None, alpha="auto")
+    universal_key_length(cfg, stats, budget, rho_expected=None)
     assert len(runs) == 1
 
 
@@ -444,7 +509,7 @@ def test_asymptotic_face_is_reduced_once(monkeypatch):
         return float(np.trace(C @ rho).real), C
 
     for _ in range(2):
-        b92._maximize_entropy(linear, fs, 1e-9, 5)
+        b92._maximize_entropy(linear, fs, 5)
     assert len(reduced) == 1 and len(runs) == 1
     red, V = fs.face
     assert red.dim < fs.dim
@@ -474,7 +539,7 @@ def test_universal_point_work_budget(monkeypatch):
     monkeypatch.setattr(b92, "solve_linear_sdp", count)
     monkeypatch.setattr(b92, "sequential_linearization", record)
     universal_key_length(cfg, stats, budget,
-                         rho_expected=depolarized_state(cfg, 0.005), alpha="auto")
+                         rho_expected=depolarized_state(cfg, 0.005))
     assert len(stops) > 12 and "max_outer" not in stops
     assert len(solves) <= 150
 

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from ucqkd import optimize
+from ucqkd.b92 import _min_divergence
 from ucqkd.errors import InfeasibleError, UsageError
 from ucqkd.matfun import herm_eig, random_density
 from ucqkd.optimize import (
@@ -16,7 +17,6 @@ from ucqkd.optimize import (
     divergence_bits,
     facial_reduce,
     herm_basis,
-    joint_divergence_minimizer,
     mat_to_vec,
     pinch,
     renyi_objective_and_gradient,
@@ -189,10 +189,7 @@ def test_phase_one_runs_once_per_set(monkeypatch):
     sequential_linearization(
         lambda s: renyi_objective_and_gradient(s, 0.3, KEY_PINCH, 1.0), fs, max_outer=3
     )
-    joint_divergence_minimizer(
-        KEY_PINCH, fs,
-        lambda q: tilted_projection(np.clip(q, 0.0, None), np.array([1.0, 0.0]), 0.9)[0],
-    )
+    _min_divergence(fs, _fixed_last(KEY_PINCH, 0.1), np.array([1.0, 0.0]), 0.9, 0.1)
     assert runs == [fs]
     # an equal but new set gets its own phase one
     solve_linear_sdp(X2, FeasibleSet(dim=2, ineq=CACHE_INEQ))
@@ -492,18 +489,21 @@ def test_divergence_bits_oracle():
     assert divergence_bits(q, q) == 0.0
 
 
-def test_joint_divergence_minimizer_feasibility():
-    # q(rho) from a 2-outcome measurement; p constrained to a halfspace
-    P0 = np.diag([1.0, 0.0])
-    P1 = np.diag([0.0, 1.0])
+def _fixed_last(mats, e):
+    """The measurement {(1 - e) M_i} plus a last outcome e I, whose
+    probability is e on every state."""
+    return [(1.0 - e) * np.asarray(M, dtype=complex) for M in mats] + [e * np.eye(2)]
+
+
+def test_min_divergence_zero_joint_minimum():
+    # q(rho) from a 2-outcome measurement; the sifted part of p constrained
+    # to a halfspace that the phase-one point I/2 misses
     fs = FeasibleSet(dim=2)
-    gamma = np.array([1.0, 0.0])
-    div, p, rho = joint_divergence_minimizer(
-        [P0, P1], fs, lambda q: tilted_projection(np.clip(q, 0.0, None), gamma, 0.9)[0]
-    )
-    assert p[0] >= 0.9 - 1e-8
+    div, res = _min_divergence(fs, _fixed_last(KEY_PINCH, 0.1), np.array([1.0, 0.0]), 0.9, 0.1)
     # rho free: q can match p exactly, so the joint minimum is zero
-    assert div <= 1e-7
+    assert abs(div) <= 1e-7
+    assert -res.upper_bound <= div
+    assert float(res.sigma[0, 0].real) >= 0.9 - 1e-4
 
 
 def _weight_solves(monkeypatch):
@@ -519,15 +519,21 @@ def _weight_solves(monkeypatch):
     return seen
 
 
-def _check_weight_gradient(fun, k, rng):
+def _check_weight_gradient(fun, k, rng, on_simplex=False):
+    """Finite differences along each weight, or, on_simplex, along e_i - e_0
+    (an objective whose gradient drops the identity part is exact only
+    along the set's fixed trace, and the weight solve stays on the simplex)."""
     w = rng.dirichlet(np.ones(k))  # random interior weight
     _, grad = fun(w)
     h = 1e-6
-    for i in range(k):
+    for i in range(1 if on_simplex else 0, k):
         e = np.zeros(k)
         e[i] = h
+        if on_simplex:
+            e[0] = -h
         fd = (fun(w + e)[0] - fun(w - e)[0]) / (2 * h)
-        assert abs(fd - grad[i]) <= 1e-6 * max(1.0, abs(fd))
+        expect = grad[i] - grad[0] if on_simplex else grad[i]
+        assert abs(fd - expect) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_fcfw_step_weight_gradient_renyi(monkeypatch):
@@ -553,12 +559,10 @@ def test_fcfw_step_weight_gradient_divergence(monkeypatch):
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     fs = FeasibleSet(dim=2, ineq=[(mats[0], 0.6), (X, 0.3)])
     gamma = np.array([1.0, 0.0])
-    joint_divergence_minimizer(
-        mats, fs, lambda q: tilted_projection(np.clip(q, 0.0, None), gamma, 0.9)[0]
-    )
+    _min_divergence(fs, _fixed_last(mats, 0.1), gamma, 0.9, 0.1)
     assert seen
     for fun, x0 in seen[:3]:
-        _check_weight_gradient(fun, len(x0), rng)
+        _check_weight_gradient(fun, len(x0), rng, on_simplex=True)
 
 
 def test_renyi_objective_rejects_bad_alpha():
