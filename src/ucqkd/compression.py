@@ -17,6 +17,11 @@ with overhead |X|(d+2)(d-1) + 2(d-1) (fully) or |X|(d+2)(d-1) (partially).
 The bound's displayed form writes |B_n|/n where its derivation gives
 log|B_n|/n; the log form is used here and the discrepancy is flagged in the
 report metadata.
+
+The exact error probability diagonalizes each bin's denominator once, and
+that one eigendecomposition serves every numerator of the bin.  A member's
+decoder and error depend only on how it partitions the strings into bins,
+so members with the same binning share one evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .entropies import CqSource, conditional_renyi_sibson
 from .errors import CapacityError, DomainError, UsageError
 from .fields import GaloisField, field as make_field
-from .hashing import enumerate_surjective_family, hash_apply, sample_toeplitz
+from .hashing import enumerate_surjective_family, sample_toeplitz
 from .matfun import herm_eig
 from .schur_weyl import empirical_entropy, sigma_for_string
 
@@ -52,7 +57,7 @@ def operator_division(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     lam, U = herm_eig(B)
     if lam.min() <= 1e-12:
         raise DomainError("operator division requires strictly positive B")
-    return U @ (_log_kernel(lam) * (U.conj().T @ A @ U)) @ U.conj().T
+    return _divide(A, U, _log_kernel(lam))
 
 
 def _log_kernel(lam: np.ndarray) -> np.ndarray:
@@ -63,15 +68,23 @@ def _log_kernel(lam: np.ndarray) -> np.ndarray:
     return np.where(close, 2.0 / (a + b), g)
 
 
-def operator_division_on_support(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Division restricted to the support of B, extended by zero off-support."""
+def _divide(A: np.ndarray, U: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """A/B for B = U diag(lam) U^dag, given the kernel K = _log_kernel(lam)."""
+    return U @ (K * (U.conj().T @ A @ U)) @ U.conj().T
+
+
+def _support_kernel(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors spanning the support of B and the log kernel on it."""
     lam, U = herm_eig(B)
     keep = lam > 1e-10
     if not keep.any():
         raise DomainError("operator division by the zero operator")
-    Us = U[:, keep]
-    As = Us.conj().T @ A @ Us
-    return Us @ (_log_kernel(lam[keep]) * As) @ Us.conj().T
+    return U[:, keep], _log_kernel(lam[keep])
+
+
+def operator_division_on_support(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Division restricted to the support of B, extended by zero off-support."""
+    return _divide(A, *_support_kernel(B))
 
 
 def operator_division_quadrature(A: np.ndarray, B: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
@@ -154,7 +167,7 @@ def build_decoder_povm(
 
     Division is carried out on the support of the denominator and extended
     by zero; the completeness identity sum_x Y(x) = support projector holds
-    per bin.
+    per bin.  The denominator is diagonalized once for all its numerators.
     """
     if not pre:
         raise DomainError("empty hash preimage")
@@ -162,9 +175,10 @@ def build_decoder_povm(
     for y in pre:
         if weights[y] > 0:
             denom += weights[y] * sigmas[y]
+    Us, K = _support_kernel(denom)
     return {
         x: (
-            operator_division_on_support(weights[x] * sigmas[x], denom)
+            _divide(weights[x] * sigmas[x], Us, K)
             if weights[x] > 0
             else np.zeros_like(denom)
         )
@@ -191,13 +205,16 @@ def _hash_members(exp: CompressionExperiment, field: GaloisField):
 def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
     """(mean error probability over the hash family, standard error).
 
-    Exact (stderr 0) for enumerable families; Monte Carlo otherwise.
+    Exact (stderr 0) for enumerable families; Monte Carlo otherwise.  A
+    member's error depends only on how it partitions the strings into bins,
+    so members with the same partition share one evaluation.
     """
     k = len(exp.source.states)
     fld = make_field(*_prime_power(k))
     members, exhaustive = _hash_members(exp, fld)
     weights = _decoder_weights(exp.source, exp.n, exp.decoder_kind)
-    strings = list(itertools.product(range(k), repeat=exp.n))
+    X = fld.strings(exp.n)
+    strings = list(map(tuple, X.tolist()))
     sigmas = {x: sigma_for_string(x, exp.source.dim) for x in strings}
     rho_x = {x: _product_state(exp.source, x) for x in strings}
     pn = {
@@ -205,19 +222,23 @@ def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
     }
 
     per_member = []
+    by_partition: dict[tuple, float] = {}
     for H in members:
         bins = {}
-        for x in strings:
-            bins.setdefault(fld.vector_index(hash_apply(fld, H, x)), []).append(x)
-        err = 0.0
-        for pre in bins.values():
-            povm = build_decoder_povm(pre, weights, sigmas)
-            for x in pre:
-                if pn[x] == 0.0:
-                    continue
-                good = np.trace(rho_x[x] @ povm[x]).real
-                err += pn[x] * max(0.0, 1.0 - good)
-        per_member.append(err)
+        for x, b in zip(strings, fld.vector_indices(fld.mat_mul(X, H))):
+            bins.setdefault(b, []).append(x)
+        key = tuple(map(tuple, bins.values()))  # bins fill in string order
+        if key not in by_partition:
+            err = 0.0
+            for pre in bins.values():
+                povm = build_decoder_povm(pre, weights, sigmas)
+                for x in pre:
+                    if pn[x] == 0.0:
+                        continue
+                    good = np.sum(rho_x[x] * povm[x].T).real  # Tr[rho_x Y(x)]
+                    err += pn[x] * max(0.0, 1.0 - good)
+            by_partition[key] = err
+        per_member.append(by_partition[key])
     vals = np.array(per_member)
     mean = float(np.sum(vals) / len(vals))
     if exhaustive:

@@ -282,12 +282,8 @@ class GaloisField:
         if k != k2:
             raise UsageError("matrix dimension mismatch")
         out = np.zeros((n, m), dtype=np.int64)
-        for i in range(n):
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc = self.add(acc, self.mul(int(A[i, t]), int(B[t, j])))
-                out[i, j] = acc
+        for t in range(k):
+            out = self.add_table[out, self.mul_table[A[:, t, None], B[None, t, :]]]
         return out
 
     def _row_reduce(self, A):
@@ -371,6 +367,17 @@ class GaloisField:
         for c in np.asarray(z).ravel():
             idx = idx * self.q + int(c)
         return idx
+
+    def vector_indices(self, Z):
+        """Basis-state index of each row of the string matrix Z."""
+        Z = np.asarray(Z, dtype=np.int64)
+        return Z @ self.q ** np.arange(Z.shape[1] - 1, -1, -1)
+
+    def strings(self, n: int):
+        """(q**n x n) matrix whose row idx is index_vector(idx, n)."""
+        return np.array(
+            list(itertools.product(range(self.q), repeat=n)), dtype=np.int64
+        ).reshape(self.q**n, n)
 
     def index_vector(self, idx: int, n: int):
         out = np.zeros(n, dtype=np.int64)
@@ -460,8 +467,6 @@ def _string_map_unitary(field: GaloisField, M, n_in: int, n_out: int) -> np.ndar
     dim_out = _check_dim(field, n_out)
     M = np.asarray(M, dtype=np.int64)
     U = np.zeros((dim_out, dim_in), dtype=complex)
-    for idx in range(dim_in):
-        z = field.index_vector(idx, n_in).reshape(1, -1)
-        w = field.mat_mul(z, M).ravel()
-        U[field.vector_index(w), idx] = 1.0
+    images = field.vector_indices(field.mat_mul(field.strings(n_in), M))
+    U[images, np.arange(dim_in)] = 1.0
     return U

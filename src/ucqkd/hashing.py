@@ -80,13 +80,11 @@ def verify_two_universal(field: GaloisField, family, n: int, m: int):
     nonzero difference strings z, since the family is linear) and ``bound``
     is 1/q^m.  The family is 2-universal iff max_fraction <= bound.
     """
-    q = field.q
-    worst = 0
-    for idx in range(1, q**n):
-        z = field.index_vector(idx, n)
-        hits = sum(1 for H in family if not hash_apply(field, H, z).any())
-        worst = max(worst, hits)
-    return worst / len(family), 1.0 / q**m
+    Z = field.strings(n)[1:]
+    hits = np.zeros(len(Z), dtype=np.int64)
+    for H in family:
+        hits += ~field.mat_mul(Z, H).any(axis=1)
+    return int(hits.max(initial=0)) / len(family), 1.0 / field.q**m
 
 
 @dataclass(frozen=True)
@@ -156,10 +154,9 @@ def hash_preimages(field: GaloisField, H, n: int) -> dict[int, list[np.ndarray]]
     """Group all length-n strings by hash value index (dense enumeration)."""
     out: dict[int, list[np.ndarray]] = {}
     m = np.asarray(H).shape[1]
-    for idx in range(field.q**n):
-        x = field.index_vector(idx, n)
-        b = field.vector_index(hash_apply(field, H, x))
-        out.setdefault(b, []).append(x)
+    Z = field.strings(n)
+    for x, b in zip(Z, field.vector_indices(field.mat_mul(Z, H))):
+        out.setdefault(int(b), []).append(x)
     if len(out) != field.q**m:
         raise InvariantError("surjective hash member missed a bin")
     return out

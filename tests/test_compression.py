@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ucqkd import compression
 from ucqkd.compression import (
     CompressionExperiment,
     _decoder_weights,
+    _hash_members,
+    _prime_power,
+    _product_state,
     build_decoder_povm,
     comparison_exponents,
     exact_error_probability,
@@ -123,6 +127,97 @@ def test_decoder_povm_is_valid(kind):
         for Y in povm.values():
             assert herm_eig(Y)[0].min() >= -1e-10
         assert herm_eig(np.eye(total.shape[0]) - total)[0].min() >= -1e-8
+
+
+def test_decoder_povm_matches_division_per_element():
+    # one eigendecomposition of the bin's denominator serves every numerator
+    rng = np.random.default_rng(11)
+    src = _random_source(rng, k=3)
+    weights = _decoder_weights(src, 2, "fully-universal")
+    sigmas = {x: sigma_for_string(x, src.dim) for x in weights}
+    pre = [(0, 1), (1, 2), (2, 2), (0, 0)]
+    weights[(1, 2)] = 0.0
+    povm = build_decoder_povm(pre, weights, sigmas)
+    denom = sum(weights[y] * sigmas[y] for y in pre)
+    for x in pre:
+        ref = operator_division_on_support(weights[x] * sigmas[x], denom)
+        assert np.abs(povm[x] - ref).max() <= 1e-12
+    assert not povm[(1, 2)].any()
+
+
+def _member_by_member_error(exp):
+    """Reference: every member on its own, one hash_apply per string, one
+    operator division per decoder element and Tr[rho Y] as a matrix product."""
+    k = len(exp.source.states)
+    gf = field(*_prime_power(k))
+    members, exhaustive = _hash_members(exp, gf)
+    weights = _decoder_weights(exp.source, exp.n, exp.decoder_kind)
+    strings = list(itertools.product(range(k), repeat=exp.n))
+    sigmas = {x: sigma_for_string(x, exp.source.dim) for x in strings}
+    errs = []
+    for H in members:
+        bins = {}
+        for x in strings:
+            bins.setdefault(gf.vector_index(hash_apply(gf, H, x)), []).append(x)
+        err = 0.0
+        for pre in bins.values():
+            denom = sum(weights[y] * sigmas[y] for y in pre)
+            for x in pre:
+                px = float(np.prod([exp.source.probs[xi] for xi in x]))
+                if px == 0.0:
+                    continue
+                Y = (operator_division_on_support(weights[x] * sigmas[x], denom)
+                     if weights[x] > 0 else np.zeros_like(denom))
+                good = np.trace(_product_state(exp.source, x) @ Y).real
+                err += px * max(0.0, 1.0 - good)
+        errs.append(err)
+    vals = np.array(errs)
+    mean = float(np.sum(vals) / len(vals))
+    if exhaustive:
+        return mean, 0.0
+    return mean, float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
+# (n, |X|, hash dits m, bins_log, decoder, family); |X| = 4 bins over GF(4)
+REFERENCE_CASES = [
+    (4, 2, 2, 2.0, "partially-universal", "all-surjective"),
+    (3, 3, 1, 1.58, "partially-universal", "all-surjective"),
+    (2, 4, 1, 2.0, "fully-universal", "all-surjective"),
+    (5, 2, 2, 2.0, "fully-universal", "toeplitz"),
+]
+
+
+@pytest.mark.parametrize("n,k,m,bins_log,kind,family", REFERENCE_CASES)
+def test_exact_error_matches_member_by_member_reference(n, k, m, bins_log, kind, family):
+    rng = np.random.default_rng(100 + n + k)
+    exp = CompressionExperiment(
+        source=_random_source(rng, k=k), n=n, bins_log=bins_log,
+        decoder_kind=kind, hash_dits=m, family=family, trials=20, seed=n + k,
+    )
+    mean, stderr = exact_error_probability(exp)
+    ref_mean, ref_stderr = _member_by_member_error(exp)
+    assert abs(mean - ref_mean) <= 1e-13 * abs(ref_mean)
+    assert abs(stderr - ref_stderr) <= 1e-15
+    assert (stderr == 0.0) == (family == "all-surjective")
+
+
+def test_one_eigendecomposition_per_bin_of_each_partition(monkeypatch):
+    # the 210 full-rank 4 x 2 binary members induce 35 partitions (one per
+    # kernel) of 4 bins each; each bin's denominator is diagonalized once
+    calls = []
+
+    def spy(B):
+        calls.append(1)
+        return herm_eig(B)
+
+    monkeypatch.setattr(compression, "herm_eig", spy)
+    rng = np.random.default_rng(12)
+    exp = CompressionExperiment(
+        source=_random_source(rng), n=4, bins_log=2.0,
+        decoder_kind="partially-universal", hash_dits=2,
+    )
+    exact_error_probability(exp)
+    assert len(calls) == 35 * 4
 
 
 def test_injective_hash_decodes_perfectly():

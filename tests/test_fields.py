@@ -82,6 +82,23 @@ def test_character_sums(gf):
             assert abs(lhs - gf.character(a) * gf.character(b)) < 1e-12
 
 
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2)])
+def test_mat_mul_matches_scalar_definition(p, r):
+    gf = field(p, r)
+    rng = np.random.default_rng(p * 10 + r)
+    for n, k, m in ((1, 1, 1), (3, 4, 2), (5, 2, 3), (16, 4, 2)):
+        A = rng.integers(0, gf.q, size=(n, k))
+        B = rng.integers(0, gf.q, size=(k, m))
+        ref = np.zeros((n, m), dtype=np.int64)
+        for i in range(n):
+            for j in range(m):
+                for t in range(k):
+                    ref[i, j] = gf.add(int(ref[i, j]), gf.mul(int(A[i, t]), int(B[t, j])))
+        assert np.array_equal(gf.mat_mul(A, B), ref)
+    with pytest.raises(UsageError):
+        gf.mat_mul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+
+
 def test_bad_field_parameters():
     with pytest.raises(UsageError):
         field(4, 1)
@@ -198,3 +215,6 @@ def test_index_vector_roundtrip(gf):
     for idx in range(min(gf.q**n, 64)):
         v = gf.index_vector(idx, n)
         assert gf.vector_index(v) == idx
+    Z = gf.strings(n)
+    assert all(np.array_equal(Z[idx], gf.index_vector(idx, n)) for idx in range(gf.q**n))
+    assert np.array_equal(gf.vector_indices(Z), np.arange(gf.q**n))
