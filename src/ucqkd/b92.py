@@ -21,7 +21,6 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .entropies import (
-    alpha_heuristic,
     binary_entropy,
     log2_fq_factor,
     relative_entropy_variance,
@@ -67,7 +66,8 @@ class B92Config:
     amp is the signal-state amplitude a in |psi_x> = b|0~> + (-1)^x a|1~>
     with b = sqrt(1 - a^2); 0 < amp < 1/sqrt(2).  splits defaults to equal
     thirds of n_tot.  alpha_renyi is the Renyi order parameter for the
-    universal analysis, or "auto" for a seeded 1-D search.
+    universal analysis, or "auto" to maximize n_fin over alpha with one
+    bounded search around the balance point of the penalty terms.
     """
 
     amp: float = 0.38
@@ -443,7 +443,9 @@ def universal_key_length(
             - 18 log2(n_sift+1) - log2(1/eps2)/alpha,
     with r_down the lower confidence bound on the per-round filter success.
     The certified upper bound on R*_alpha is used, so n_fin is a valid
-    (pessimistic) key length.
+    (pessimistic) key length.  With alpha_renyi="auto", alpha is the best
+    order found by one bounded Brent search from the seed where the penalty
+    terms' 1/alpha cost balances the Renyi order's linear cost.
     """
     povms = build_povms(cfg)
     n_extr = cfg.splits[0]
@@ -471,7 +473,7 @@ def universal_key_length(
 
     alpha = cfg.alpha_renyi
     if alpha == "auto":
-        seed = _alpha_seed(cfg, stats, budget, fs, rho_expected)
+        seed = _alpha_seed(cfg, stats, budget, fs, rho_expected, r_down)
         alpha, n_fin = _auto_alpha(n_fin_at, seed)
     else:
         alpha = float(alpha)
@@ -491,18 +493,11 @@ def universal_key_length(
 
 
 def _auto_alpha(n_fin_at, seed):
-    """From the relative-entropy-variance seed, search a log-spaced grid,
-    then refine around its best point with bounded Brent in log alpha.  The
-    seed balances only the epsilon overhead; the filter-band term pushes the
-    true optimum to much larger alpha, so the grid extends well beyond the
-    seed.  Returns the best (alpha, n_fin) evaluated."""
-    lo = min(max(seed / 5.0, 1e-6), 0.01)
-    grid = np.unique(np.concatenate([
-        np.geomspace(lo, 0.45, 11),
-        [np.clip(seed, 1e-6, 1.0 - 1e-6)],
-    ]))
-    vals = {float(a): n_fin_at(float(a)) for a in grid}
-    best = max(vals, key=vals.get)
+    """One bounded Brent search in log alpha on [seed/5, 1.8 seed]; returns
+    the best (alpha, n_fin) it evaluated.  The seed lies at 1.2-3.6 times
+    the optimum on the acceptance-sweep and p = 0 points, hence the reach
+    down to seed/5; the top, at most 0.81, stays inside (0, 1)."""
+    vals = {}
 
     def neg_n_fin(log_a):
         a = math.exp(log_a)
@@ -510,24 +505,26 @@ def _auto_alpha(n_fin_at, seed):
         return -vals[a]
 
     minimize_scalar(
-        neg_n_fin,
-        bounds=(math.log(best / 1.8), math.log(min(best * 1.8, 1.0 - 1e-6))),
+        neg_n_fin, bounds=(math.log(seed / 5.0), math.log(1.8 * seed)),
         method="bounded", options={"xatol": 5e-3},
     )
     best = max(vals, key=vals.get)
     return best, vals[best]
 
 
-def _alpha_seed(cfg, stats, budget, fs, rho_expected) -> float:
+def _alpha_seed(cfg, stats, budget, fs, rho_expected, r_down) -> float:
+    """alpha0 = min(sqrt(A/c), 0.45), where the penalty A/alpha, with
+    A = log2(hi/r_down) + log2(1/eps2)/n1, balances the Renyi order's cost
+    c alpha, c = V ln2 / 2, from the second-order expansion of the Renyi
+    entropy (Tomamichel, Colbeck & Renner 2009); V is the relative-entropy variance of the expected filtered
+    state, and alpha0 = 0.45 when V vanishes or is undefined."""
     if rho_expected is None:
         # center of the acceptance set as a stand-in for the expected state
         rho_expected = solve_linear_sdp(np.zeros((4, 4), dtype=complex), fs).rho
     sf = build_states_and_filter(cfg)
     sigma = sf["filter_map"](rho_expected)
-    tr = float(np.trace(sigma).real)
-    if tr <= 0:
-        return 0.38
-    sigma = sigma / tr
+    # M_fil has full rank, so a density operator keeps a positive trace
+    sigma = sigma / float(np.trace(sigma).real)
     # cq state of the key-basis twirl orbit vs identity x marginal
     z = np.zeros((4, 4), dtype=complex)
     zop = np.kron(np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex))
@@ -539,10 +536,12 @@ def _alpha_seed(cfg, stats, budget, fs, rho_expected) -> float:
     try:
         v = relative_entropy_variance(rho_x, big)
     except DomainError:
-        return 0.38
+        v = 0.0
     if v <= 1e-12:
-        return 0.38
-    return alpha_heuristic(max(stats.n_sift, 1), None, v, log2_eps_p=budget.log2_eps2)
+        return 0.45
+    hi = fs.ineq[1][1]  # upper end of constraint_set_B's filter band
+    A = math.log2(hi / r_down) + (-budget.log2_eps2) / stats.n_sift
+    return min(math.sqrt(A / (v * LN2 / 2.0)), 0.45)
 
 
 def _ec_cost(stats: ObservedStats, budget: EpsBudget) -> float:

@@ -4,8 +4,8 @@ Rényi divergence, conditional Rényi entropy (the Sibson closed form, and a
 certified bracket on the same maximum from the shared maximizer
 `optimize.sequential_linearization`), von Neumann conditional entropy,
 relative entropy variance, the binary relative entropy with its
-concentration-bound root-finders delta_1 / delta_2 / r_err, the
-i.i.d.-reduction factor f_q, and the alpha seed heuristic.
+concentration-bound root-finders delta_1 / delta_2 / r_err, and the
+i.i.d.-reduction factor f_q.
 
 All logarithms are base 2; every entropy is in bits.  alpha = 1 is always
 handled by the dedicated von Neumann path, never by a limiting formula.
@@ -331,25 +331,6 @@ def log2_fq_factor(n: int, d: int) -> float:
 
 def fq_factor(n: int, d: int) -> float:
     return 2.0 ** log2_fq_factor(n, d)
-
-
-def alpha_heuristic(
-    n_sift: float,
-    eps_p: float | None,
-    variance: float,
-    *,
-    log2_eps_p: float | None = None,
-) -> float:
-    """Seed alpha = sqrt(-2 ln(eps_p) / (n_sift V)), clamped to (0,1).
-
-    Only a search seed; the natural-log convention reproduces the reference
-    value 0.0094 at (n_sift=1e6, eps_p=2^-64, V=1).
-    """
-    if variance <= 0 or n_sift <= 0:
-        raise UsageError("need n_sift > 0 and V > 0")
-    leps = _log2_eps(eps_p, log2_eps_p)
-    raw = math.sqrt(-2.0 * (leps * LN2) / (n_sift * variance))
-    return min(max(raw, 1e-12), 1.0 - 1e-12)
 
 
 def binary_entropy(p: float) -> float:

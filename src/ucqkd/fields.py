@@ -129,7 +129,7 @@ class GaloisField:
     the index <-> coefficient-vector correspondence.
     """
 
-    def __init__(self, p: int, r: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, r: int):
         if not _is_prime(p):
             raise UsageError(f"field characteristic must be prime, got {p}")
         if r < 1:
@@ -137,17 +137,10 @@ class GaloisField:
         q = p**r
         if q > 256:
             raise CapacityError(f"field size {q} exceeds cap 256")
-        if modulus is None:
-            modulus = _default_modulus(p, r)
-        modulus = tuple(int(c) % p for c in modulus[:-1]) + (int(modulus[-1]),)
-        if len(modulus) != r + 1 or modulus[-1] != 1:
-            raise UsageError("modulus must be monic of degree r")
-        if not _is_irreducible(modulus, p):
-            raise UsageError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.r = r
         self.q = q
-        self.modulus = modulus
+        self.modulus = _default_modulus(p, r)
 
         self._coeffs = np.array(
             [self._index_to_coeffs_slow(i) for i in range(q)], dtype=np.int64

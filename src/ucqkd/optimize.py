@@ -129,9 +129,11 @@ def facial_reduce(fs: FeasibleSet) -> tuple[FeasibleSet, np.ndarray]:
         drop = None
         # inequality Tr[M rho] <= 0 with M >= 0, and equality Tr[M rho] = b
         # shifted by the trace constraint to Tr[(M - (b/tau) I) rho] = 0: if
-        # the shifted operator is semidefinite, the face is its kernel
+        # the shifted operator is semidefinite, the face is its kernel.  A
+        # positive bound, however small, admits states off ker(M): reducing on
+        # it would shrink the set, lower the entropy maximum and inflate the key
         scan = [(idx, np.asarray(M, dtype=complex), "ineq") for idx, (M, ub) in
-                enumerate(cur.ineq) if ub <= tol]
+                enumerate(cur.ineq) if ub <= 0.0]
         for idx, (M, b) in enumerate(cur.eq):
             N = np.asarray(M, dtype=complex) - (b / cur.trace) * np.eye(cur.dim)
             scan.append((idx, N, "eq"))

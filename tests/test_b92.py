@@ -431,9 +431,12 @@ def test_min_divergence_certified_lower_bound():
         assert lower <= divergence_bits(np.append((1.0 - q5fix) * u, q5fix), q) + 1e-12
 
 
-def test_auto_alpha_refines_grid_with_brent(monkeypatch):
+def _stub_alpha_search(monkeypatch, a_opt):
     # a stub R* bound for which n_fin(a) = n1 (0.7 - c a) - 18 log2(n1+1)
-    # - log2(1/eps2)/a, with its maximum at a_opt
+    # - log2(1/eps2)/a, with its maximum at a_opt.  Returns the result, the
+    # alphas passed to R*, n_fin, and a tolerance of a few ulps of the
+    # largest term n1 (1-a)/a log2(1/r_down), which the stub's R* subtracts
+    # and universal_key_length adds back
     cfg = B92Config(n_tot=10**10)
     budget = secrecy_budget(cfg, "universal")
     stats = sample_observed(cfg, 0.005, budget.log2_eps1, np.random.default_rng(1))
@@ -441,7 +444,6 @@ def test_auto_alpha_refines_grid_with_brent(monkeypatch):
     f1 = n1 / n_extr
     r_down = f1 - solve_delta2(1.0 - f1, n_extr, log2_eps=budget.log2_eps2)
     band = math.log2(1.0 / r_down)
-    a_opt = 0.0731
     c = -budget.log2_eps2 / (n1 * a_opt**2)
     calls = []
 
@@ -456,12 +458,29 @@ def test_auto_alpha_refines_grid_with_brent(monkeypatch):
     res = universal_key_length(
         cfg, stats, budget, rho_expected=depolarized_state(cfg, 0.005)
     )
+    return res, calls, n_fin, 4.0 * np.spacing(n1 * band / min(calls))
+
+
+def test_auto_alpha_single_brent_search(monkeypatch):
+    # the balance-point seed brackets the optimum, and one bounded Brent
+    # search finds it without a grid
+    a_opt = 0.0731
+    res, calls, n_fin, tol = _stub_alpha_search(monkeypatch, a_opt)
     assert res.alpha_renyi in calls
-    assert 12 < len(calls) <= 30
+    assert len(calls) <= 12
     best = max(n_fin(a) for a in calls)
-    assert abs(res.n_fin - n_fin(res.alpha_renyi)) <= 1e-6
-    assert res.n_fin >= best - 1e-6
+    assert abs(res.n_fin - n_fin(res.alpha_renyi)) <= tol
+    assert res.n_fin >= best - tol
     assert abs(math.log(res.alpha_renyi / a_opt)) <= 1e-2
+
+
+def test_auto_alpha_optimum_outside_bracket(monkeypatch):
+    # an R* whose optimum lies below the search bracket: the search still
+    # returns the best alpha it evaluated, with that alpha's own n_fin
+    res, calls, n_fin, tol = _stub_alpha_search(monkeypatch, 0.005)
+    assert min(calls) > 0.005
+    assert res.alpha_renyi in calls
+    assert abs(res.n_fin - max(n_fin(a) for a in calls)) <= tol
 
 
 def test_auto_alpha_shares_one_acceptance_set(monkeypatch):
@@ -540,19 +559,25 @@ def test_universal_point_work_budget(monkeypatch):
     monkeypatch.setattr(b92, "sequential_linearization", record)
     universal_key_length(cfg, stats, budget,
                          rho_expected=depolarized_state(cfg, 0.005))
-    assert len(stops) > 12 and "max_outer" not in stops
+    assert len(stops) <= 12 and "max_outer" not in stops
     assert len(solves) <= 150
 
 
 @pytest.mark.xfail(strict=True, raises=InfeasibleError,
                    reason="phase one finds no strictly feasible point when the "
                           "bit-error bound is below the SDP's absolute tolerance")
-def test_conventional_noiseless_large_sample():
-    cfg = B92Config(n_tot=10**12)
-    budget = secrecy_budget(cfg, "conventional")
-    stats = _observed(cfg, 0.0, budget)
-    res = conventional_key_length(cfg, stats, budget)
-    assert res.n_fin > 0.0
+@pytest.mark.parametrize("analysis,n_tot,rng", [
+    ("conventional", 10**12, 9),
+    # a bit-error bound of 9.4e-12: the set must not be reduced to ker(M_bit)
+    ("universal", 10**14, [0, 0]),
+], ids=["conventional", "universal"])
+def test_noiseless_large_sample(analysis, n_tot, rng):
+    cfg = B92Config(n_tot=n_tot, alpha_renyi=0.01)
+    budget = secrecy_budget(cfg, analysis)
+    stats = sample_observed(cfg, 0.0, budget.log2_eps1, np.random.default_rng(rng))
+    key_length = (universal_key_length if analysis == "universal"
+                  else conventional_key_length)
+    assert key_length(cfg, stats, budget).n_fin > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,7 @@ def test_keyrate_csv_schema_and_determinism(tmp_path):
         assert float(r["key_rate"]) >= 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # V = 0 at p = 0
 def test_keyrate_universal_noiseless(tmp_path):
     out = tmp_path / "p0.csv"
     assert main([

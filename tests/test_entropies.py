@@ -12,7 +12,6 @@ from scipy.optimize import brentq
 from ucqkd import b92, entropies
 from ucqkd.entropies import (
     CqSource,
-    alpha_heuristic,
     binary_entropy,
     binary_relative_entropy,
     conditional_renyi_direct,
@@ -236,10 +235,3 @@ def test_fq_factor_is_polynomial_prefactor():
     for d in (2, 4):
         slope = (log2_fq_factor(10**8, d) - log2_fq_factor(10**6, d)) / math.log2(100)
         assert abs(slope - (d * d - 1) / 2.0) < 0.01
-
-
-def test_alpha_heuristic_reference_value():
-    val = alpha_heuristic(1e6, 2.0**-64, 1.0)
-    assert abs(val - 0.0094) < 5e-4
-    # scaling: alpha ~ 1/sqrt(n V)
-    assert abs(alpha_heuristic(4e6, 2.0**-64, 1.0) - val / 2.0) < 1e-12

@@ -249,6 +249,14 @@ def test_facial_reduce_zero_upper_bound():
     assert np.allclose(P0 @ V, 0.0, atol=1e-10)
 
 
+def test_facial_reduce_keeps_positive_upper_bound():
+    # Tr[P0 rho] <= 5e-12 admits states off ker(P0): no reduction
+    P0 = np.diag([1.0, 0.0, 0.0])
+    fs = FeasibleSet(dim=3, ineq=[(P0, 5e-12)])
+    red, V = facial_reduce(fs)
+    assert red.dim == 3
+
+
 def test_facial_reduce_saturating_equality():
     # Tr[M rho] = lambda_max(M) * trace pins rho onto the top eigenspace
     M = np.diag([1.0, 1.0, 0.25])
