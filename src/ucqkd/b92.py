@@ -397,14 +397,12 @@ def _reduced_objective(objective, V: np.ndarray):
     return wrapped
 
 
-def _maximize_entropy(objective, fs: FeasibleSet, max_outer: int) -> MaximizeResult:
+def _maximize_entropy(objective, fs: FeasibleSet) -> MaximizeResult:
     red, V = fs.face
     if red.dim < fs.dim:
-        res = sequential_linearization(
-            _reduced_objective(objective, V), red, max_outer=max_outer
-        )
+        res = sequential_linearization(_reduced_objective(objective, V), red)
         return replace(res, sigma=V @ res.sigma @ V.conj().T)
-    return sequential_linearization(objective, fs, max_outer=max_outer)
+    return sequential_linearization(objective, fs)
 
 
 def renyi_entropy_objective(cfg: B92Config, alpha: float):
@@ -428,7 +426,7 @@ def rstar_upper_bound(
     alpha: float,
 ) -> MaximizeResult:
     """Certified upper bound on max_{rho in B} H^up_{1-alpha}(X|A'B')."""
-    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs, 40)
+    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs)
 
 
 def universal_key_length(
@@ -672,7 +670,7 @@ def conventional_key_length(
         return replace(base, clamped=True)
     q5fix = 1.0 - n1 / n_extr
 
-    res = _maximize_entropy(_pattern_objective(povms), fs, 40)
+    res = _maximize_entropy(_pattern_objective(povms), fs)
     qstar = np.array([float(np.trace(O @ res.sigma).real) for O in ops])
     mass = float(qstar[:4].sum())
     ustar = np.clip(qstar[:4], 0.0, None)
@@ -753,8 +751,8 @@ def asymptotic_rates(cfg: B92Config, p: float) -> dict:
     e_bit = min(max(q.q_bit / q.q_fil, 0.0), 1.0)
     ec = binary_entropy(min(e_bit, 0.5))
 
-    uni = _maximize_entropy(_vn_objective(cfg, q.q_fil), fs, 60)
-    conv = _maximize_entropy(_pattern_objective(povms), fs, 60)
+    uni = _maximize_entropy(_vn_objective(cfg, q.q_fil), fs)
+    conv = _maximize_entropy(_pattern_objective(povms), fs)
     dw = devetak_winter_rate(cfg, uni.sigma, q.q_fil)
     # the certified entropy upper bounds give pessimistic (secure) rates
     return {

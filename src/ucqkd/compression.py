@@ -263,21 +263,19 @@ def theorem_overhead(kind: str, alphabet: int, d: int) -> int:
     return base + 2 * (d - 1) if kind == "fully-universal" else base
 
 
-DEFAULT_ALPHA_GRID = tuple(np.concatenate([
+ALPHA_GRID = tuple(np.concatenate([
     np.geomspace(1e-4, 0.1, 12), np.linspace(0.12, 0.999, 30)
 ]))
 
 
-def theorem_bound(exp: CompressionExperiment, alpha_grid=DEFAULT_ALPHA_GRID) -> ErrorReport:
+def theorem_bound(exp: CompressionExperiment) -> ErrorReport:
     """Error-exponent bound 2^{-n max_alpha exponent(alpha)}, clamped to <= 1."""
     k = len(exp.source.states)
     d = exp.source.dim
     overhead = theorem_overhead(exp.decoder_kind, k, d)
     n = exp.n
     curve = []
-    for a in alpha_grid:
-        if not 0 < a < 1:
-            continue
+    for a in ALPHA_GRID:
         h = conditional_renyi_sibson(exp.source, 1.0 - a)
         expo = a * (
             exp.bins_log / n - h - overhead * math.log2(n + 1) / (2.0 * n)
@@ -293,18 +291,18 @@ def theorem_bound(exp: CompressionExperiment, alpha_grid=DEFAULT_ALPHA_GRID) -> 
     )
 
 
-def comparison_exponents(source: CqSource, rate: float, alpha_max: float = 50.0):
+def comparison_exponents(source: CqSource, rate: float):
     """(random-coding, sphere-packing) exponent reference formulas.
 
     Random coding: max_{alpha in [0,1]} alpha (R - H^up_{1/(1+alpha)});
-    sphere packing: the same expression with alpha >= 0 unbounded.
+    sphere packing: the same expression with alpha >= 0 unbounded (grid to 50).
     """
     def expo(a):
         return a * (rate - conditional_renyi_sibson(source, 1.0 / (1.0 + a)))
 
     grid01 = np.linspace(1e-6, 1.0, 200)
     rc = max(expo(a) for a in grid01)
-    grid_sp = np.concatenate([grid01, np.geomspace(1.0, alpha_max, 200)])
+    grid_sp = np.concatenate([grid01, np.geomspace(1.0, 50.0, 200)])
     sp = max(expo(a) for a in grid_sp)
     return float(rc), float(sp)
 

@@ -228,28 +228,16 @@ def _bits_float(i: int) -> float:
     return float(np.int64(i).view(np.float64))
 
 
-def _log2_eps(eps, log2_eps):
+def _log2_eps(log2_eps: float) -> float:
     """log2 of a failure probability; the log form avoids underflow."""
-    if (eps is None) == (log2_eps is None):
-        raise UsageError("give exactly one of eps and log2_eps")
-    if eps is not None:
-        if not 0 < eps < 1:
-            raise UsageError("eps must lie in (0,1)")
-        return math.log2(eps)
     if not log2_eps < 0:
         raise UsageError("log2_eps must be negative")
     return float(log2_eps)
 
 
-def solve_delta1(
-    p: float,
-    n: int,
-    eps: float | None = None,
-    *,
-    log2_eps: float | None = None,
-) -> float:
+def solve_delta1(p: float, n: int, *, log2_eps: float) -> float:
     """delta_1(p,n,eps): n D(p+delta||p) = -log2 eps, or 1-p when eps < p^n."""
-    leps = _log2_eps(eps, log2_eps)
+    leps = _log2_eps(log2_eps)
     if not 0 <= p <= 1 or n < 1:
         raise UsageError("need p in [0,1], n >= 1")
     if p == 1.0:
@@ -262,15 +250,9 @@ def solve_delta1(
     return _bisect_monotone(f, 0.0, 1.0 - p)
 
 
-def solve_delta2(
-    p: float,
-    n: int,
-    eps: float | None = None,
-    *,
-    log2_eps: float | None = None,
-) -> float:
+def solve_delta2(p: float, n: int, *, log2_eps: float) -> float:
     """delta_2(p,n,eps): n D(p||p+delta) = -log2 eps."""
-    leps = _log2_eps(eps, log2_eps)
+    leps = _log2_eps(log2_eps)
     if not 0 <= p <= 1 or n < 1:
         raise UsageError("need p in [0,1], n >= 1")
     if p == 1.0:
@@ -280,10 +262,7 @@ def solve_delta2(
         return -math.expm1(leps * LN2 / n)
     target = -leps / n
     f = lambda delta: binary_relative_entropy(p, p + delta) - target
-    hi = 1.0 - p
-    if f(hi) < 0:  # target beyond D(p||1) = inf cannot happen for p<1; guard p~1
-        raise DomainError("delta_2: no root below 1-p")
-    return _bisect_monotone(f, 0.0, hi)
+    return _bisect_monotone(f, 0.0, 1.0 - p)
 
 
 def solve_r_err(

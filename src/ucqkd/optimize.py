@@ -277,7 +277,9 @@ def _phase_one(fs: FeasibleSet, basis: np.ndarray):
     lam_min = herm_eig(vec_to_mat(x, basis))[0].min()
     s = min(lam_min, (f - Evec @ x).min(initial=lam_min)) - 1.0
     scale = max(1.0, np.abs(b).max(), np.abs(f).max(initial=0.0))
-    target = 1e-9 * scale
+    # a set whose smallest positive bound is below 1e-9 * scale (p = 0 at
+    # large n) still has strictly feasible points, with slacks below that bound
+    target = min(1e-9 * scale, 1e-3 * f[f > 0].min(initial=np.inf))
 
     # y = (x, s): M(y) = rho - s I and slacks f - Evec x - s
     lmi = np.concatenate([basis, -np.eye(d, dtype=complex)[None]])
@@ -361,8 +363,15 @@ def solve_linear_sdp(
 
 
 def _dual_from_kkt(C, Aeq, in_mats, nu, rho, mu, basis):
-    """Least-squares equality multipliers making Z ~ mu rho^{-1} >= 0."""
-    target = C + mu * np.linalg.inv(rho)
+    """Least-squares equality multipliers making Z ~ mu rho^{-1} >= 0.
+
+    A numerically singular rho falls back to the pseudo-inverse on its
+    support; the caller's identity shift keeps the dual bound certified."""
+    try:
+        rho_inv = np.linalg.inv(rho)
+    except np.linalg.LinAlgError:
+        rho_inv = mpow(rho, -1.0)
+    target = C + mu * rho_inv
     for j, E in enumerate(in_mats):
         target = target - nu[j] * E
     lam, *_ = np.linalg.lstsq(Aeq.T, mat_to_vec(target, basis), rcond=None)

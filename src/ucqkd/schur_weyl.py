@@ -88,54 +88,25 @@ def _conjugate(diagram: tuple[int, ...]) -> list[int]:
 def sn_character(diagram: tuple[int, ...], cycle_type: tuple[int, ...]) -> int:
     """Character chi_lambda on the conjugacy class of the given cycle type.
 
-    Murnaghan-Nakayama rule: strip border strips of length equal to the
-    first cycle, with sign (-1)^(strip height - 1).
+    Murnaghan-Nakayama rule on the beta-set B = {lambda_i + k - 1 - i} of the
+    k-row diagram: removing a rim hook of length t = first cycle moves one
+    bead b to an empty position b - t >= 0, with sign (-1)^(number of beads
+    strictly between b - t and b).
     """
     if not cycle_type:
         return 1 if not diagram else 0
-    t = cycle_type[0]
-    rest = cycle_type[1:]
-    total = 0
-    for stripped, height in _border_strips(diagram, t):
-        total += (-1) ** (height - 1) * sn_character(stripped, rest)
-    return total
-
-
-def _border_strips(diagram: tuple[int, ...], t: int):
-    """Yield (diagram with a length-t border strip removed, strip height)."""
+    t, rest = cycle_type[0], cycle_type[1:]
     k = len(diagram)
-    for start in range(k):  # row where the strip begins (its topmost row)
-        for end in range(start, k):
-            # Candidate strip occupying rows start..end of the rim.
-            new = list(diagram)
-            # Strip along the rim: row `end` keeps cells up to diagram[end+1]-1
-            # style boundary; construct by setting row i to diagram[i+1]-1
-            # for start <= i < end, and computing row `end` from the length.
-            used = 0
-            ok = True
-            for i in range(start, end):
-                new[i] = diagram[i + 1] - 1
-                used += diagram[i] - new[i]
-                if new[i] < 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            rem = t - used
-            new_end = diagram[end] - rem
-            if rem <= 0 or new_end < 0:
-                continue
-            new[end] = new_end
-            # Must remain a valid (weakly decreasing) diagram and the strip
-            # must be connected: row `end` must recede to at most the next
-            # row's new length... validity check below covers connectivity.
-            if end + 1 < k and new[end] < diagram[end + 1]:
-                continue
-            if start > 0 and new[start] > diagram[start - 1]:
-                continue
-            cand = tuple(x for x in new if x > 0)
-            if all(cand[i] >= cand[i + 1] for i in range(len(cand) - 1)):
-                yield cand, end - start + 1
+    beads = {row + k - 1 - i for i, row in enumerate(diagram)}
+    total = 0
+    for b in beads:
+        if b - t < 0 or b - t in beads:
+            continue
+        moved = sorted((beads - {b}) | {b - t}, reverse=True)
+        stripped = tuple(m - (k - 1 - i) for i, m in enumerate(moved))
+        sign = (-1) ** sum(b - t < c < b for c in beads)
+        total += sign * sn_character(tuple(r for r in stripped if r > 0), rest)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -153,30 +124,11 @@ def permutation_operator(perm: tuple[int, ...], d: int) -> np.ndarray:
     dim = d**n
     if dim > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor dimension {dim} exceeds {MAX_TENSOR_DIM}")
+    # row with output digits o has its 1 at the input index with digits o[s(i)]
+    cols = np.arange(dim).reshape([d] * n).transpose(np.argsort(perm)).ravel()
     V = np.zeros((dim, dim), dtype=float)
-    radix = [d] * n
-    for idx in range(dim):
-        digits = _digits(idx, radix)
-        out = [0] * n
-        for i in range(n):
-            out[perm[i]] = digits[i]
-        V[_undigits(out, radix), idx] = 1.0
+    V[np.arange(dim), cols] = 1.0
     return V
-
-
-def _digits(idx: int, radix: list[int]) -> list[int]:
-    out = [0] * len(radix)
-    for k in range(len(radix) - 1, -1, -1):
-        out[k] = idx % radix[k]
-        idx //= radix[k]
-    return out
-
-
-def _undigits(digits, radix) -> int:
-    idx = 0
-    for dig, r in zip(digits, radix):
-        idx = idx * r + dig
-    return idx
 
 
 def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:

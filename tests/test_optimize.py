@@ -136,6 +136,30 @@ def test_sdp_infeasible_raises():
         solve_linear_sdp(np.eye(2), fs)
 
 
+def test_phase_one_accepts_bound_below_absolute_target():
+    # strictly feasible points exist (rho_11 < 1e-11), although every slack
+    # stays below 1e-9 * scale, phase one's absolute target
+    P1 = np.diag([0.0, 1.0])
+    fs = FeasibleSet(dim=2, ineq=[(P1, 1e-11)])
+    res = solve_linear_sdp(P1, fs)
+    assert res.primal <= 1e-11 <= res.dual_bound <= 1e-11 + 1e-7
+
+
+def test_dual_from_kkt_singular_rho_uses_pseudo_inverse():
+    # an exactly singular rho makes np.linalg.inv raise; the multipliers
+    # then come from the pseudo-inverse on rho's support
+    basis = herm_basis(2)
+    fs = FeasibleSet(dim=2, ineq=[(X2, 0.3)])
+    _, Aeq, _, in_mats, _, _ = optimize._assemble(fs, basis)
+    C = np.diag([1.0, -0.5]).astype(complex)
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    nu = np.array([0.2])
+    lam = optimize._dual_from_kkt(C, Aeq, in_mats, nu, rho, 1e-3, basis)
+    target = C + 1e-3 * np.diag([1.0, 0.0]) - 0.2 * X2
+    expect = np.linalg.lstsq(Aeq.T, mat_to_vec(target, basis), rcond=None)[0]
+    assert np.all(np.isfinite(lam)) and np.allclose(lam, expect, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # Phase-one point cached per feasible set
 # ---------------------------------------------------------------------------

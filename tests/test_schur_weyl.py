@@ -57,32 +57,85 @@ def test_dimension_sum_rule():
         assert total == d**n
 
 
+def _centralizer_order(mu):
+    # z_mu = prod_k k^{m_k} m_k!, so the class of cycle type mu has n!/z_mu members
+    z = 1
+    for k in set(mu):
+        m = mu.count(k)
+        z *= k**m * math.factorial(m)
+    return z
+
+
 def test_sn_character_orthogonality():
-    # first orthogonality relation of S_n characters, n = 4
-    n = 4
-    diagrams = enumerate_young(n, n)
-    perms = list(itertools.permutations(range(n)))
+    # both orthogonality relations of the S_n character table, n <= 7
+    for n in range(1, 8):
+        nfact = math.factorial(n)
+        diagrams = enumerate_young(n, n)  # irreps and cycle types alike
+        z = {mu: _centralizer_order(mu) for mu in diagrams}
+        assert sum(nfact // z[mu] for mu in diagrams) == nfact
+        chi = {(lam, mu): sn_character(lam, mu) for lam in diagrams for mu in diagrams}
+        for a in diagrams:
+            for b in diagrams:
+                rows = sum(nfact // z[mu] * chi[a, mu] * chi[b, mu] for mu in diagrams)
+                assert rows == (nfact if a == b else 0)
+                cols = sum(chi[lam, a] * chi[lam, b] for lam in diagrams)
+                assert cols == (z[a] if a == b else 0)
 
-    def cycle_type(perm):
-        seen, cycles = set(), []
-        for s in range(n):
-            if s in seen:
-                continue
-            length, cur = 0, s
-            while cur not in seen:
-                seen.add(cur)
-                cur = perm[cur]
-                length += 1
-            cycles.append(length)
-        return tuple(sorted(cycles, reverse=True))
 
-    for lam in diagrams:
-        for mu in diagrams:
-            s = sum(
-                sn_character(lam, cycle_type(p)) * sn_character(mu, cycle_type(p))
-                for p in perms
-            )
-            assert s == (math.factorial(n) if lam == mu else 0)
+def test_sn_character_table_s4():
+    # textbook table; the relations above cannot tell lambda from its
+    # conjugate, whose character differs by the sign character
+    classes = [(1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)]
+    table = {
+        (4,): [1, 1, 1, 1, 1],
+        (3, 1): [3, 1, -1, 0, -1],
+        (2, 2): [2, 0, 2, -1, 0],
+        (2, 1, 1): [3, -1, -1, 0, 1],
+        (1, 1, 1, 1): [1, -1, 1, 1, -1],
+    }
+    for lam, row in table.items():
+        assert [sn_character(lam, mu) for mu in classes] == row
+
+
+def test_sn_character_at_identity_is_hook_length_dimension():
+    for n in range(1, 11):
+        for lam in enumerate_young(n, n):
+            assert sn_character(lam, (1,) * n) == dim_permutation_irrep(lam)
+
+
+def test_permutation_operator_matches_digit_loop():
+    # reference: basis index idx has base-d digits (most significant first);
+    # output slot perm[i] carries input digit i
+    d, n = 3, 4
+    for perm in itertools.permutations(range(n)):
+        ref = np.zeros((d**n, d**n))
+        for idx in range(d**n):
+            digits = [(idx // d ** (n - 1 - k)) % d for k in range(n)]
+            out = [0] * n
+            for i in range(n):
+                out[perm[i]] = digits[i]
+            ref[sum(o * d ** (n - 1 - k) for k, o in enumerate(out)), idx] = 1.0
+        assert np.array_equal(permutation_operator(perm, d), ref)
+
+
+def test_permutation_operator_moves_tensor_factors():
+    # V (A_0 x ... x A_{n-1}) V^T puts A_i at slot s(i)
+    d, n = 2, 4
+    rng = np.random.default_rng(11)
+    factors = [rng.normal(size=(d, d)) for _ in range(n)]
+
+    def kron_all(mats):
+        out = np.eye(1)
+        for m in mats:
+            out = np.kron(out, m)
+        return out
+
+    for perm in itertools.permutations(range(n)):
+        V = permutation_operator(perm, d)
+        moved = [None] * n
+        for i in range(n):
+            moved[perm[i]] = factors[i]
+        assert np.allclose(V @ kron_all(factors) @ V.T, kron_all(moved), atol=1e-12)
 
 
 def test_permutation_operator_representation():
