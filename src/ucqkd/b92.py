@@ -365,7 +365,7 @@ def asymptotic_constraint_set(cfg: B92Config, p: float, povms: PovmSet) -> Feasi
     """n -> infinity limit: equality constraints at the expected values.
 
     At p = 0 the bit-error constraint pins the state to the kernel of
-    M_bit; the caller is expected to facially reduce before solving.
+    M_bit; `sequential_linearization` solves on that face.
     """
     q = expected_statistics(cfg, p)
     return FeasibleSet(
@@ -388,20 +388,8 @@ _KEY_PINCH = [
 ]
 
 
-def _reduced_objective(objective, V: np.ndarray):
-    def wrapped(rho_small):
-        rho = V @ rho_small @ V.conj().T
-        val, grad = objective(rho)
-        return val, V.conj().T @ grad @ V
-
-    return wrapped
-
-
 def _maximize_entropy(objective, fs: FeasibleSet) -> MaximizeResult:
-    red, V = fs.face
-    if red.dim < fs.dim:
-        res = sequential_linearization(_reduced_objective(objective, V), red)
-        return replace(res, sigma=V @ res.sigma @ V.conj().T)
+    # a named step of its own: bench/workloads.py captures this call's result
     return sequential_linearization(objective, fs)
 
 

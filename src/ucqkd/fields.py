@@ -3,7 +3,10 @@
 Field elements are referred to by a canonical integer index in ``[0, q)``:
 the element with coefficient vector ``(c_0, ..., c_{r-1})`` (``c_0`` the
 constant term, coefficients in ``[0, p)``) has index ``sum_i c_i p^i``.
-All arithmetic is table driven and exact.
+All arithmetic is table driven and exact.  The tables come from the regular
+representation: multiplication by ``a`` is the F_p-linear map
+``R(a) = sum_i a_i C^i`` on coefficient vectors, with ``C`` the companion
+matrix of the modulus, and the field trace is ``Tr(a) = trace R(a) mod p``.
 
 The qudit computational basis is labelled by field elements in index order.
 Conventions:
@@ -34,8 +37,11 @@ from .errors import CapacityError, DomainError, InvariantError, UsageError
 # operator constructors below.
 MAX_DENSE_DIM = 4096
 
-# Fixed default moduli (coefficient lists, constant term first, monic).
-# These are the Conway polynomials for the small fields used throughout.
+# Default moduli (coefficient lists, constant term first, monic), one for
+# every GF(p^r) with r >= 2 and p^r <= 256; r = 1 uses x.  The first seven
+# are Conway polynomials; each of the rest is the first monic irreducible in
+# lexicographic order of its coefficient list.  tests/test_fields.py checks
+# that every entry gives a field.
 DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),          # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),       # x^3 + x + 1
@@ -44,6 +50,15 @@ DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (3, 3): (1, 2, 0, 1),       # x^3 + 2x + 1
     (5, 2): (2, 4, 1),          # x^2 + 4x + 2
     (7, 2): (3, 6, 1),          # x^2 + 6x + 3
+    (2, 5): (1, 0, 0, 1, 0, 1),           # x^5 + x^3 + 1
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),        # x^6 + x^5 + 1
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),     # x^7 + x^6 + 1
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),  # x^8 + x^7 + x^5 + x^4 + 1
+    (3, 4): (1, 0, 1, 1, 1),    # x^4 + x^3 + x^2 + 1
+    (3, 5): (1, 0, 0, 0, 2, 1), # x^5 + 2x^4 + 1
+    (5, 3): (1, 0, 1, 1),       # x^3 + x^2 + 1
+    (11, 2): (1, 0, 1),         # x^2 + 1
+    (13, 2): (1, 3, 1),         # x^2 + 3x + 1
 }
 
 
@@ -54,72 +69,6 @@ def _is_prime(p: int) -> bool:
         if p % d == 0:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Polynomial arithmetic over F_p (coefficient lists, constant term first).
-# Only used during field construction; everything afterwards is table driven.
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(_poly_trim(a)) - 1 >= dm:
-        shift = len(a) - 1 - dm
-        factor = (a[-1] * inv_lead) % p
-        for i, c in enumerate(m):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    return _poly_mod(out, m, p)
-
-
-def _is_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(m)//2."""
-    deg = len(m) - 1
-    if deg < 1 or m[-1] == 0:
-        return False
-    if deg == 1:
-        return True
-    mm = list(m)
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = list(tail) + [1]
-            # Compute m mod div; zero remainder means reducible.
-            rem = _poly_mod(mm, div, p)
-            if not _poly_trim(list(rem)):
-                return False
-    return True
-
-
-def _default_modulus(p: int, r: int) -> tuple[int, ...]:
-    if r == 1:
-        return (0, 1)  # x
-    if (p, r) in DEFAULT_MODULI:
-        return DEFAULT_MODULI[(p, r)]
-    # Deterministic fallback: lexicographically smallest monic irreducible.
-    for tail in itertools.product(range(p), repeat=r):
-        cand = tuple(tail) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-    raise InvariantError(f"no irreducible polynomial of degree {r} over F_{p}")
 
 
 class GaloisField:
@@ -140,87 +89,28 @@ class GaloisField:
         self.p = p
         self.r = r
         self.q = q
-        self.modulus = _default_modulus(p, r)
+        self.modulus = (0, 1) if r == 1 else DEFAULT_MODULI[(p, r)]
 
-        self._coeffs = np.array(
-            [self._index_to_coeffs_slow(i) for i in range(q)], dtype=np.int64
-        )
-        self._build_tables()
-
-    # -- index/coefficient conversions -------------------------------------
-
-    def _index_to_coeffs_slow(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.r):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
+        w = p ** np.arange(r)
+        self._coeffs = co = (np.arange(q)[:, None] // w) % p
+        # companion matrix of the modulus: coeffs(x b) = coeffs(b) @ C
+        C = np.eye(r, k=1, dtype=np.int64)
+        C[-1] = -np.array(self.modulus[:-1]) % p
+        # regular representation R[a] = sum_i a_i C^i: coeffs(a b) = coeffs(b) @ R[a]
+        powers = np.array([np.linalg.matrix_power(C, i) for i in range(r)])
+        R = np.einsum("ai,ijk->ajk", co, powers) % p
+        self.mul_table = (np.einsum("bj,ajk->abk", co, R) % p) @ w
+        self.add_table = ((co[:, None] + co[None]) % p) @ w
+        self.neg_table = (-co % p) @ w
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1)
+        # Tr(a) = trace of the F_p-linear map b -> a b
+        self.trace_table = np.trace(R, axis1=1, axis2=2) % p
+        if not (self.mul_table[np.arange(1, q), self.inv_table[1:]] == 1).all():
+            raise InvariantError(f"modulus {self.modulus} is reducible over F_{p}")
 
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (constant term first) of element index ``a``."""
         return tuple(int(c) for c in self._coeffs[a])
-
-    def index(self, coeffs) -> int:
-        """Element index of a coefficient vector (length <= r)."""
-        idx = 0
-        for k, c in enumerate(coeffs):
-            idx += (int(c) % self.p) * self.p**k
-        return idx
-
-    # -- table construction --------------------------------------------------
-
-    def _build_tables(self) -> None:
-        p, q, m = self.p, self.q, list(self.modulus)
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            ca = list(self._coeffs[a])
-            for b in range(a, q):
-                cb = list(self._coeffs[b])
-                s = [(x + y) % p for x, y in zip(ca, cb)]
-                add[a, b] = add[b, a] = self.index(s)
-                pr = _poly_mulmod(ca, cb, m, p)
-                mul[a, b] = mul[b, a] = self.index(pr)
-        self.add_table = add
-        self.mul_table = mul
-        self.neg_table = np.array(
-            [self.index([(-c) % p for c in self._coeffs[a]]) for a in range(q)],
-            dtype=np.int64,
-        )
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            b = a
-            for _ in range(q - 3):  # a**(q-2) by repeated multiplication
-                b = int(mul[b, a])
-            inv[a] = b if q > 2 else a
-            if int(mul[a, inv[a]]) != 1:
-                raise InvariantError("inverse table construction failed")
-        self.inv_table = inv
-
-        # Field trace Tr(a) = sum_k a**(p**k), an element of the prime field,
-        # identified with its constant coefficient.
-        tr = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            acc = 0
-            term = a
-            for _ in range(self.r):
-                acc = int(add[acc, term])
-                term = self._pow_raw(term, p)
-            c = self._coeffs[acc]
-            if any(c[1:]):
-                raise InvariantError("field trace left the prime subfield")
-            tr[a] = c[0]
-        self.trace_table = tr
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = int(self.mul_table[out, base])
-            base = int(self.mul_table[base, base])
-            e >>= 1
-        return out
 
     # -- scalar arithmetic ---------------------------------------------------
 
@@ -243,29 +133,25 @@ class GaloisField:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self._pow_raw(self.inv(a), -e)
-        return self._pow_raw(a, e)
+            a, e = self.inv(a), -e
+        out = 1
+        while e:
+            if e & 1:
+                out = int(self.mul_table[out, a])
+            a = int(self.mul_table[a, a])
+            e >>= 1
+        return out
 
     def trace(self, a: int) -> int:
         """Field trace to F_p, as an integer in [0, p)."""
         return int(self.trace_table[a])
 
-    def character(self, a: int) -> complex:
-        """Additive character chi(a) = exp(2*pi*i*Tr(a)/p)."""
-        return complex(np.exp(2j * np.pi * self.trace(a) / self.p))
+    def character(self, a):
+        """Additive character chi(a) = exp(2*pi*i*Tr(a)/p), elementwise on arrays."""
+        return np.exp(1j * (2 * np.pi * self.trace_table[a] / self.p))
 
     # -- vectors and matrices over the field ---------------------------------
     # Matrices are 2-D numpy int arrays of element indices.
-
-    def vec_add(self, u, v):
-        return self.add_table[np.asarray(u), np.asarray(v)]
-
-    def vec_dot(self, u, v) -> int:
-        """Component-wise bilinear form <u, v> = sum_i u_i v_i."""
-        acc = 0
-        for a, b in zip(np.asarray(u).ravel(), np.asarray(v).ravel()):
-            acc = self.add(acc, self.mul(int(a), int(b)))
-        return acc
 
     def mat_mul(self, A, B):
         A = np.asarray(A)
@@ -286,20 +172,16 @@ class GaloisField:
         pivots = []
         row = 0
         for col in range(m):
-            piv = next((i for i in range(row, n) if M[i, col] != 0), None)
-            if piv is None:
+            nonzero = np.flatnonzero(M[row:, col])
+            if not nonzero.size:
                 continue
+            piv = row + nonzero[0]
             M[[row, piv]] = M[[piv, row]]
-            inv = self.inv(int(M[row, col]))
-            for j in range(m):
-                M[row, j] = self.mul(int(M[row, j]), inv)
-            for i in range(n):
-                if i != row and M[i, col] != 0:
-                    f = int(M[i, col])
-                    for j in range(m):
-                        M[i, j] = self.sub(
-                            int(M[i, j]), self.mul(f, int(M[row, j]))
-                        )
+            M[row] = self.mul_table[self.inv_table[M[row, col]], M[row]]
+            # subtract f_i times the pivot row from every row i, all at once
+            f = M[:, col].copy()
+            f[row] = 0
+            M = self.add_table[M, self.neg_table[self.mul_table[f[:, None], M[row]]]]
             pivots.append(col)
             row += 1
             if row == n:
@@ -404,41 +286,29 @@ def _check_dim(field: GaloisField, n: int) -> int:
 def weyl_x(field: GaloisField, a) -> np.ndarray:
     """Shift operator X(a) on n qudits: X(a)|c> = |c + a> component-wise."""
     a = np.atleast_1d(np.asarray(a, dtype=np.int64))
-    n = len(a)
-    dim = _check_dim(field, n)
+    dim = _check_dim(field, len(a))
+    images = field.vector_indices(field.add_table[field.strings(len(a)), a])
     U = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        c = field.index_vector(idx, n)
-        U[field.vector_index(field.vec_add(c, a)), idx] = 1.0
+    U[images, np.arange(dim)] = 1.0
     return U
 
 
 def weyl_z(field: GaloisField, b) -> np.ndarray:
     """Clock operator Z(b) on n qudits: Z(b)|c> = chi(<b, c>)|c>."""
     b = np.atleast_1d(np.asarray(b, dtype=np.int64))
-    n = len(b)
-    dim = _check_dim(field, n)
-    phases = np.array(
-        [
-            field.character(field.vec_dot(b, field.index_vector(idx, n)))
-            for idx in range(dim)
-        ]
-    )
-    return np.diag(phases)
+    _check_dim(field, len(b))
+    dots = field.mat_mul(field.strings(len(b)), b[:, None])[:, 0]
+    return np.diag(field.character(dots))
 
 
 def mub_vector(field: GaloisField, c: int) -> np.ndarray:
     """Conjugate-basis vector |c~> = q^{-1/2} sum_{c'} chi(-c c') |c'>."""
-    q = field.q
-    v = np.array(
-        [field.character(field.neg(field.mul(c, cp))) for cp in range(q)]
-    )
-    return v / np.sqrt(q)
+    return mub_basis(field)[:, c]
 
 
 def mub_basis(field: GaloisField) -> np.ndarray:
     """Columns are the conjugate-basis vectors |c~>, c = 0..q-1."""
-    return np.column_stack([mub_vector(field, c) for c in range(field.q)])
+    return field.character(field.neg_table[field.mul_table]) / np.sqrt(field.q)
 
 
 def relabeling_unitary(field: GaloisField, C) -> np.ndarray:

@@ -46,10 +46,7 @@ def sample_toeplitz(
         raise UsageError(f"need 1 <= m <= n, got n={n}, m={m}")
     for _ in range(1000):
         t = rng.integers(0, field.q, size=n + m - 1)
-        H = np.empty((n, m), dtype=np.int64)
-        for i in range(n):
-            for j in range(m):
-                H[i, j] = t[i - j + m - 1]
+        H = t[np.arange(n)[:, None] - np.arange(m)[None, :] + m - 1]
         if field.mat_rank(H) == m:
             return H
     raise InvariantError("failed to sample a full-rank Toeplitz matrix")

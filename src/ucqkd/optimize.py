@@ -14,15 +14,17 @@ One barrier-Newton core, `_center`, serves both phase one and the SDP solve:
 damped Newton steps on a linear objective plus mu times the log-barrier of
 a linear matrix inequality and linear slacks, under linear equalities.  Each
 step is 0.98 of the largest step that stays strictly feasible, capped at a
-full Newton step; `_max_step` finds that step in closed form from one
-Cholesky factor.
+full Newton step; `_max_step` finds that step in closed form from the
+inverse Cholesky factor that `_center` already computed for the Newton
+system.
 
 Phase one runs once per feasible set: a `FeasibleSet` keeps its strictly
 feasible point, and every SDP solve and linearization on that same object
 starts from it.  Linearization changes only the objective, so the feasible
-set, and with it the starting point, stays fixed for a whole run.  The set keeps its facial-reduction face too,
-so maximizations that reduce one set share the reduced set and its
-phase-one point.
+set, and with it the starting point, stays fixed for a whole run.
+`sequential_linearization` solves on the set's facial-reduction face, which
+the set also keeps, so maximizations on one set share the reduced set and
+its phase-one point.
 """
 
 from __future__ import annotations
@@ -217,10 +219,10 @@ def _newton_equality(Hm, g, Aeq, resid):
     return sol[:n]
 
 
-def _max_step(M, dM, t, dt):
+def _max_step(Linv, dM, t, dt):
     """Largest step a in (0, 1] keeping M + a dM > 0 and t + a dt > 0, in
-    closed form: with M = L L^dag, M + a dM = L (I + a L^-1 dM L^-dag) L^dag."""
-    Linv = np.linalg.inv(np.linalg.cholesky(M))
+    closed form from the inverse Cholesky factor Linv of M = L L^dag:
+    M + a dM = L (I + a Linv dM Linv^dag) L^dag."""
     a = 1.0
     lam = np.linalg.eigvalsh(Linv @ dM @ Linv.conj().T)[0]
     if lam < 0.0:
@@ -242,8 +244,7 @@ def _center(c, lmi, y, mu, Aeq, b, G, g):
     the centred y."""
     n, d, _ = lmi.shape
     flat = lmi.reshape(n, d * d)
-    M = (y @ flat).reshape(d, d)
-    L = np.linalg.cholesky(M)
+    L = np.linalg.cholesky((y @ flat).reshape(d, d))
     for _ in range(100):
         t = g - G @ y
         # whitened constraint matrices K_k = L^-1 lmi[k] L^-dag, M = L L^dag:
@@ -254,13 +255,12 @@ def _center(c, lmi, y, mu, Aeq, b, G, g):
         H = mu * ((K @ K.conj().T).real + (G.T / t**2) @ G)
         dy = _newton_equality(H, grad, Aeq, b - Aeq @ y)
         dec2 = float(dy @ (H @ dy))
-        step = 0.98 * _max_step(M, (dy @ flat).reshape(d, d), t, -G @ dy) * dy
-        M_next = ((y + step) @ flat).reshape(d, d)
+        step = 0.98 * _max_step(Linv, (dy @ flat).reshape(d, d), t, -G @ dy) * dy
         try:
-            L = np.linalg.cholesky(M_next)
+            L = np.linalg.cholesky(((y + step) @ flat).reshape(d, d))
         except np.linalg.LinAlgError:
             break  # rounding leaves the step's end numerically singular
-        y, M = y + step, M_next
+        y = y + step
         if dec2 < 1e-16:
             break
     return y
@@ -512,6 +512,10 @@ def sequential_linearization(
     """Maximize a concave objective(sigma) -> (value, gradient) over an SDP
     feasible set by outer linearization with fully-corrective Frank-Wolfe.
 
+    The solve runs on the set's face (`FeasibleSet.face`): the objective
+    sees V rho V^dag and returns V^dag G V, and the reported sigma is lifted
+    back to the full space.
+
     By concavity every linearization gives a certified upper bound
     f* <= f(s_k) + max_feasible Tr[G_k (s - s_k)], evaluated with the SDP
     dual bound; the reported upper bound is the running minimum.  The atoms
@@ -526,6 +530,16 @@ def sequential_linearization(
     "converged" when the test holds without the gap term, "sdp_floor" when
     only the gap term meets it, "max_outer" when the iterations ran out.
     """
+    red, V = fs.face
+    on_face = red.dim < fs.dim
+    if on_face:
+        on_full_space = objective
+
+        def objective(rho):
+            val, grad = on_full_space(V @ rho @ V.conj().T)
+            return val, V.conj().T @ grad @ V
+
+    fs = red
     mix = 1e-9
     eye = np.eye(fs.dim, dtype=complex) * (fs.trace / fs.dim)
     atoms = [fs.interior_point[0]]
@@ -551,6 +565,8 @@ def sequential_linearization(
             stop = "sdp_floor"
             break
         atoms, weights = _fcfw_step(objective, atoms, weights, res.rho)
+    if on_face:
+        best_sigma = V @ best_sigma @ V.conj().T
     return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma,
                           iterations=it, stop=stop)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ucqkd.errors import UsageError
 from ucqkd.fields import (
+    GaloisField,
     field,
     mub_basis,
     mub_vector,
@@ -16,6 +17,14 @@ from ucqkd.fields import (
 )
 
 FIELD_PARAMS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
+# every GF(p^r) the module supports, q = p^r <= 256
+ALL_FIELDS = [
+    (p, r)
+    for p in range(2, 257)
+    if all(p % d for d in range(2, p))
+    for r in range(1, 9)
+    if p**r <= 256
+]
 
 
 @pytest.fixture(params=FIELD_PARAMS, ids=lambda pr: f"GF({pr[0]**pr[1]})")
@@ -71,6 +80,24 @@ def test_frobenius_and_trace(gf):
         assert all(c == 0 for c in gf.coeffs(tr)[1:])
 
 
+@pytest.mark.parametrize("p,r", ALL_FIELDS)
+def test_every_supported_field_is_a_field(p, r):
+    # the default modulus is irreducible: no zero divisors, every nonzero
+    # element inverts, and the regular-representation trace is the
+    # Frobenius sum Tr(a) = sum_i a^{p^i}, an element of F_p
+    gf = GaloisField(p, r)
+    q = gf.q
+    assert gf.mul_table[1:, 1:].all()
+    a = np.arange(1, q)
+    assert (gf.mul_table[a, gf.inv_table[a]] == 1).all()
+    for x in range(q):
+        tr, conj = 0, x
+        for _ in range(r):
+            tr = gf.add(tr, conj)
+            conj = gf.pow(conj, p)
+        assert gf.coeffs(tr) == (gf.trace(x),) + (0,) * (r - 1)
+
+
 def test_character_sums(gf):
     # sum_c chi(a c) = q if a == 0 else 0; chi is a homomorphism
     q = gf.q
@@ -97,6 +124,25 @@ def test_mat_mul_matches_scalar_definition(p, r):
         assert np.array_equal(gf.mat_mul(A, B), ref)
     with pytest.raises(UsageError):
         gf.mat_mul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
+
+
+def test_linear_algebra_solves_what_it_claims(gf):
+    # inverse, kernel and particular solution checked through mat_mul, on
+    # random square and wide matrices with some rank deficiency
+    rng = np.random.default_rng(gf.q)
+    eye = np.eye(3, dtype=np.int64)
+    for _ in range(40):
+        A = rng.integers(0, gf.q, size=(3, int(rng.integers(3, 6))))
+        if rng.random() < 0.3:
+            A[2] = gf.mat_mul(rng.integers(0, gf.q, size=(1, 2)), A[:2])
+        rank = gf.mat_rank(A)
+        K = gf.mat_kernel(A)
+        assert K.shape[0] == A.shape[1] - rank
+        assert not gf.mat_mul(A, K.T).any()
+        B = gf.mat_mul(A, rng.integers(0, gf.q, size=(A.shape[1], 2)))
+        assert np.array_equal(gf.mat_mul(A, gf.mat_solve(A, B)), B)
+        if rank == 3 and A.shape[1] == 3:
+            assert np.array_equal(gf.mat_mul(A, gf.mat_inv(A)), eye)
 
 
 def test_bad_field_parameters():
@@ -153,8 +199,36 @@ def test_weyl_multiqudit_commutation():
         a = rng.integers(0, 2, size=3)
         b = rng.integers(0, 2, size=3)
         X, Z = weyl_x(gf, a), weyl_z(gf, b)
-        phase = gf.character(gf.vec_dot(a, b))
+        phase = gf.character(gf.mat_mul(a[None, :], b[:, None])[0, 0])
         assert np.allclose(Z @ X, phase * (X @ Z), atol=1e-12)
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2)])
+def test_operators_match_per_index_loop(p, r):
+    # X(a)|c> = |c + a>, Z(b)|c> = chi(<b, c>)|c> and the conjugate basis
+    # chi(-c c') / sqrt(q), built here one basis index at a time
+    gf = field(p, r)
+    q = gf.q
+    for n in (1, 2):
+        dim = q**n
+        for idx in range(dim):
+            v = gf.index_vector(idx, n)
+            X = np.zeros((dim, dim), dtype=complex)
+            phases = np.zeros(dim, dtype=complex)
+            for col in range(dim):
+                c = gf.index_vector(col, n)
+                X[gf.vector_index([gf.add(int(s), int(t)) for s, t in zip(c, v)]), col] = 1
+                dot = 0
+                for s, t in zip(c, v):
+                    dot = gf.add(dot, gf.mul(int(s), int(t)))
+                phases[col] = gf.character(dot)
+            assert np.array_equal(weyl_x(gf, v), X)
+            assert np.allclose(weyl_z(gf, v), np.diag(phases), rtol=0, atol=1e-15)
+    B = np.array([[gf.character(gf.neg(gf.mul(c, cp))) for c in range(q)]
+                  for cp in range(q)]) / np.sqrt(q)
+    assert np.allclose(mub_basis(gf), B, rtol=0, atol=1e-15)
+    for c in range(q):
+        assert np.allclose(mub_vector(gf, c), B[:, c], rtol=0, atol=1e-15)
 
 
 def test_weyl_orthogonality(gf):

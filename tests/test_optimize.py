@@ -196,7 +196,7 @@ def test_max_step_is_the_closed_form_boundary():
         def inside(a):
             return herm_eig(M + a * dM)[0].min() > 0.0 and (t + a * dt).min() > 0.0
 
-        a = optimize._max_step(M, dM, t, dt)
+        a = optimize._max_step(np.linalg.inv(np.linalg.cholesky(M)), dM, t, dt)
         assert 0.0 < a <= 1.0
         assert inside((1.0 - 1e-9) * a)
         if a < 1.0:
