@@ -616,8 +616,10 @@ def _min_divergence(fs, ops, gamma, thresh, q5fix):
     sum_i p*_i / (q_i ln 2) ops_i.  Its identity part is dropped, which is
     exact since the trace is fixed on the set.  The SDP tolerance is 1e-8:
     the default 1e-7 leaves the divergence high enough to raise the key
-    length on the acceptance sweep, and at 1e-9 the SDP solve stalls on
-    some acceptance sets.
+    length on the acceptance sweep.  At 1e-9 the SDP solves certify as well
+    (checked at p = 0.01, n_tot = 1e8 and p = 0.5, n_tot = 1e6, rng 0); at
+    the first point that lowers n_fin by 3.6e-6 relative and takes 1.7
+    times as long.
     """
     ops = np.array(ops, dtype=complex)
     eye = np.eye(fs.dim)

@@ -1,4 +1,4 @@
-"""Convex optimization kernels: a self-contained log-barrier interior-point
+"""Convex optimization kernels: a self-contained primal-dual interior-point
 solver for linear SDPs with certified dual bounds, concave entropy objectives
 with Frechet-derivative gradients, sequential linearization (outer
 approximation) for maximizing concave objectives over SDP feasible sets, and
@@ -10,18 +10,26 @@ All certified bounds are one-sided in the safe direction: SDP maximizations
 report a dual upper bound, sequential linearization reports the minimum of
 accumulated linearized upper bounds together with the best feasible value.
 
-One barrier-Newton core, `_center`, serves both phase one and the SDP solve:
-damped Newton steps on a linear objective plus mu times the log-barrier of
-a linear matrix inequality and linear slacks, under linear equalities.  Each
-step is 0.98 of the largest step that stays strictly feasible, capped at a
-full Newton step; `_max_step` finds that step in closed form from the
-inverse Cholesky factor that `_center` already computed for the Newton
-system.
+One primal-dual path-following core, `_path`, serves both phase one and the
+SDP solve: HKM directions with Mehrotra's predictor-corrector, which carry
+the dual multipliers (lam, nu) and the dual matrix Z as iterates, so every
+iterate has a dual to certify.  Each step is 0.98 of the largest step that
+stays strictly feasible, capped at 1, and `_boundary_step` finds it in
+closed form from the Cholesky factors the Newton system already used.  What
+certifies an SDP bound is the dual iterate itself: `_dual_bound` clips nu
+at 0 and shifts the trace multiplier along the identity until Z >= 0, so
+weak duality holds for any multipliers, and the reported bound is the
+running minimum over the path.  The path aims at the requested gap and no
+deeper: its centring target never asks for less complementarity than half
+of gap_tol * scale, which keeps the returned primal point off the PSD
+boundary by about as much as that gap allows.
 
 Phase one runs once per feasible set: a `FeasibleSet` keeps its strictly
-feasible point, and every SDP solve and linearization on that same object
-starts from it.  Linearization changes only the objective, so the feasible
-set, and with it the starting point, stays fixed for a whole run.
+feasible point rho0, and every SDP solve and linearization on that same
+object starts from it; an SDP solve runs in the coordinates S^-1 rho S^-1,
+S = rho0^(1/2), where its start is the identity.  Linearization changes only
+the objective, so the feasible set, and with it the starting point, stays
+fixed for a whole run.
 `sequential_linearization` solves on the set's facial-reduction face, which
 the set also keeps, so maximizations on one set share the reduced set and
 its phase-one point.
@@ -34,6 +42,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq, minimize
 
 from .errors import DomainError, InfeasibleError, UsageError
@@ -174,7 +183,7 @@ def facial_reduce(fs: FeasibleSet) -> tuple[FeasibleSet, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Linear SDP via log-barrier interior point
+# Linear SDP via primal-dual path following
 # ---------------------------------------------------------------------------
 
 
@@ -204,73 +213,139 @@ def _assemble(fs: FeasibleSet, basis: np.ndarray):
     return eq_mats, Aeq, b, in_mats, Evec, f
 
 
-def _newton_equality(Hm, g, Aeq, resid):
-    n = Hm.shape[0]
-    m = Aeq.shape[0]
-    K = np.zeros((n + m, n + m))
-    K[:n, :n] = Hm + 1e-13 * np.eye(n)
-    K[:n, n:] = Aeq.T
-    K[n:, :n] = Aeq
-    rhs = np.concatenate([-g, resid])
-    try:
-        sol = np.linalg.solve(K, rhs)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    return sol[:n]
-
-
-def _max_step(Linv, dM, t, dt):
-    """Largest step a in (0, 1] keeping M + a dM > 0 and t + a dt > 0, in
-    closed form from the inverse Cholesky factor Linv of M = L L^dag:
-    M + a dM = L (I + a Linv dM Linv^dag) L^dag."""
-    a = 1.0
+def _boundary_step(Linv, dM, v, dv):
+    """Largest a > 0 keeping M + a dM > 0 and v + a dv > 0 (inf when no
+    boundary lies ahead), in closed form from the inverse Cholesky factor
+    Linv of M = L L^dag: M + a dM = L (I + a Linv dM Linv^dag) L^dag."""
+    a = math.inf
     lam = np.linalg.eigvalsh(Linv @ dM @ Linv.conj().T)[0]
     if lam < 0.0:
-        a = min(a, -1.0 / lam)
-    shrink = dt < 0.0
+        a = -1.0 / lam
+    shrink = dv < 0.0
     if shrink.any():
-        a = min(a, float((t[shrink] / -dt[shrink]).min()))
+        a = min(a, float((v[shrink] / -dv[shrink]).min()))
     return a
 
 
-def _center(c, lmi, y, mu, Aeq, b, G, g):
-    """Damped Newton steps on
+def _schur_factor(H, G, w, Aeq):
+    """LU factors of the Newton system in (dy, dnu, dlam),
 
-        max c.y + mu (log det M(y) + sum_j log(g - G y)_j)  s.t.  Aeq y = b,
+        [[H, G^T, Aeq^T], [G, -diag(w), 0], [Aeq, 0, 0]],
 
-    with M(y) = sum_k y_k lmi[k], from y with M(y) > 0 and g - G y > 0,
-    until the squared Newton decrement is below 1e-16 (at most 100 steps)
-    or a step would end where M(y) no longer has a Cholesky factor; returns
-    the centred y."""
-    n, d, _ = lmi.shape
-    flat = lmi.reshape(n, d * d)
-    L = np.linalg.cholesky((y @ flat).reshape(d, d))
-    for _ in range(100):
+    with w = t / nu, equilibrated by the symmetric diagonal scaling D that
+    gives H unit diagonal, the w block -1 and each row of Aeq D unit norm.
+    Keeping dnu as an unknown, rather than folding G^T diag(1/w) G into H,
+    keeps a slack near 0 from swamping H.  Returns (LU, D); the predictor
+    and the corrector both solve with them."""
+    n, k, m = H.shape[0], len(w), Aeq.shape[0]
+    D = np.empty(n + k + m)
+    D[:n] = 1.0 / np.sqrt(np.maximum(np.diag(H), 1e-300))
+    D[n:n + k] = 1.0 / np.sqrt(w)
+    D[n + k:] = 1.0 / np.maximum(np.linalg.norm(Aeq * D[:n], axis=1), 1e-300)
+    K = np.zeros((n + k + m, n + k + m))
+    K[:n, :n] = H
+    K[:n, n:n + k] = G.T
+    K[n:n + k, :n] = G
+    K[n:n + k, n:n + k] = -np.diag(w)
+    K[:n, n + k:] = Aeq.T
+    K[n + k:, :n] = Aeq
+    return lu_factor(D[:, None] * K * D, check_finite=False), D
+
+
+def _path(c, F, Aeq, b, G, g, y, lam, nu, aim):
+    """Primal-dual path following for
+
+        max c.y  s.t.  Aeq y = b,  M(y) = sum_k y_k F_k >= 0,  G y <= g,
+
+    and its dual, min b.lam + g.nu s.t. Aeq^T lam + G^T nu - c = F*(Z),
+    Z >= 0, nu >= 0, with F*(Z)_k = Tr[F_k Z].  The first d*d matrices F_k
+    must be an orthonormal basis of the d x d Hermitian matrices, so the
+    dual matrix is a function of the multipliers,
+    Z = sum_{k < d*d} (Aeq^T lam + G^T nu - c)_k F_k, and every iterate
+    meets those rows of the dual constraint exactly.  From a strictly
+    feasible y and (lam, nu) with Z > 0 it yields the start and then each
+    iterate as (y, lam, nu), until the complementarity Tr[M Z] + t.nu
+    (t = g - G y), the duality gap of a feasible pair, is at most `aim`, a
+    step collapses or 50 steps have been taken.
+
+    Each step is the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz
+    1996) with Mehrotra's predictor-corrector.  With the whitened
+    P_k = L_M^-1 F_k L_Z of the Cholesky factors M = L_M L_M^dag and
+    Z = L_Z L_Z^dag, the matrix block of the Newton system is
+    H = Re Tr[P_k^dag P_l]; the slacks enter through `_schur_factor`.  The
+    centring target sigma mu never aims below complementarity aim/2:
+    sigma = max(sigma_Mehrotra, aim / (2 m mu)), m = d + len(g), so the path
+    stops where the requested gap is met and goes no deeper.  Each step is
+    0.98 of the largest one that stays strictly feasible, capped at 1,
+    taken in closed form (`_boundary_step`) from the same Cholesky factors.
+    """
+    n, d, _ = F.shape
+    flat = F.reshape(n, d * d)
+    m, k = d + len(g), len(g)
+    eye = np.eye(d)
+
+    def dual_matrix(w):
+        return (w[: d * d] @ flat[: d * d]).reshape(d, d)
+
+    Z = dual_matrix(Aeq.T @ lam + G.T @ nu - c)
+    yield y, lam, nu
+    for _ in range(50):
+        M = (y @ flat).reshape(d, d)
         t = g - G @ y
-        # whitened constraint matrices K_k = L^-1 lmi[k] L^-dag, M = L L^dag:
-        # Tr[lmi[k] M^-1] = Tr[K_k], Tr[lmi[k] M^-1 lmi[l] M^-1] = Tr[K_k K_l]
-        Linv = np.linalg.inv(L)
-        K = (Linv @ lmi @ Linv.conj().T).reshape(n, d * d)
-        grad = -c - mu * (K[:, :: d + 1].sum(axis=1).real - G.T @ (1.0 / t))
-        H = mu * ((K @ K.conj().T).real + (G.T / t**2) @ G)
-        dy = _newton_equality(H, grad, Aeq, b - Aeq @ y)
-        dec2 = float(dy @ (H @ dy))
-        step = 0.98 * _max_step(Linv, (dy @ flat).reshape(d, d), t, -G @ dy) * dy
         try:
-            L = np.linalg.cholesky(((y + step) @ flat).reshape(d, d))
+            LM_inv = np.linalg.inv(np.linalg.cholesky(M))
+            LZ = np.linalg.cholesky(Z)
         except np.linalg.LinAlgError:
-            break  # rounding leaves the step's end numerically singular
-        y = y + step
-        if dec2 < 1e-16:
-            break
-    return y
+            return  # rounding left an iterate numerically singular
+        gap = float((M * Z.T).sum().real + t @ nu)
+        if gap <= aim:
+            return
+        mu = gap / m
+        LZ_inv = np.linalg.inv(LZ)
+        M_inv = LM_inv.conj().T @ LM_inv
+        P = (LM_inv @ F @ LZ).reshape(n, d * d).view(np.float64)
+        K_lu, D = _schur_factor(P @ P.T, G, t / nu, Aeq)
+        r = np.concatenate([c - Aeq.T @ lam - G.T @ nu, t, b - Aeq @ y])
+
+        def direction(Rc, rc):
+            # Newton step towards M Z = Rc, t nu = rc (0 for the affine
+            # predictor); Z moves with the multipliers, so it stays feasible
+            rhs = r.copy()
+            rhs[:n] += (flat @ (M_inv @ Rc).T.ravel()).real
+            rhs[n:n + k] -= rc / nu
+            sol = D * lu_solve(K_lu, D * rhs, check_finite=False)
+            dy, dnu, dlam = sol[:n], sol[n:n + k], sol[n + k:]
+            dM = (dy @ flat).reshape(d, d)
+            dt = -G @ dy
+            dZ = dual_matrix(Aeq.T @ dlam + G.T @ dnu)
+            a_p = min(1.0, 0.98 * _boundary_step(LM_inv, dM, t, dt))
+            a_d = min(1.0, 0.98 * _boundary_step(LZ_inv, dZ, nu, dnu))
+            return dy, dlam, dnu, dZ, dM, dt, a_p, a_d
+
+        _, _, dnu, dZ, dM, dt, a_p, a_d = direction(0.0 * eye, 0.0 * t)
+        mu_aff = float(((M + a_p * dM) * (Z + a_d * dZ).T).sum().real
+                       + (t + a_p * dt) @ (nu + a_d * dnu)) / m
+        sigma = min(1.0, max((mu_aff / mu) ** 3, aim / (2.0 * m * mu)))
+        dy, dlam, dnu, dZ, _, _, a_p, a_d = direction(
+            sigma * mu * eye - dM @ dZ, sigma * mu - dt * dnu)
+        if max(a_p, a_d) < 1e-12:
+            return
+        y = y + a_p * dy
+        lam, nu, Z = lam + a_d * dlam, nu + a_d * dnu, Z + a_d * dZ
+        yield y, lam, nu
 
 
 def _phase_one(fs: FeasibleSet, basis: np.ndarray):
     """Maximize s with rho - s I >= 0, slack_j >= s; returns strictly feasible
-    rho or raises InfeasibleError with the most violated constraint index."""
+    rho or raises InfeasibleError with the most violated constraint index.
+
+    Runs `_path` on y = (x, s), F = basis + {-I}, from a least-squares x
+    and a dual on the trace row, and stops at the first iterate with
+    s > 10 target that holds at least half of the largest margin (its gap
+    to the dual objective is at most s), so the SDP solves start well inside
+    the set."""
     d = fs.dim
-    _, Aeq, b, _, Evec, f = _assemble(fs, basis)
+    _, Aeq, b, in_mats, Evec, f = _assemble(fs, basis)
     x = np.linalg.lstsq(Aeq, b, rcond=None)[0]
     if np.abs(Aeq @ x - b).max() > 1e-9 * max(1.0, np.abs(b).max()):
         raise InfeasibleError("equality constraints are inconsistent", constraint_index=0)
@@ -282,16 +357,21 @@ def _phase_one(fs: FeasibleSet, basis: np.ndarray):
     target = min(1e-9 * scale, 1e-3 * f[f > 0].min(initial=np.inf))
 
     # y = (x, s): M(y) = rho - s I and slacks f - Evec x - s
-    lmi = np.concatenate([basis, -np.eye(d, dtype=complex)[None]])
+    F = np.concatenate([basis, -np.eye(d, dtype=complex)[None]])
     Aext = np.hstack([Aeq, np.zeros((len(b), 1))])
     G = np.hstack([Evec, np.ones((len(f), 1))])
-    c = np.zeros(len(lmi))
+    c = np.zeros(len(F))
     c[-1] = 1.0
-    y = np.append(x, s)
-    mu = max(1.0, abs(s))
-    while mu > 1e-14 * scale and y[-1] <= 10 * target:
-        y = _center(c, lmi, y, mu, Aext, b, G, f)
-        mu *= 0.2
+    # dual on the trace row, Z = lam_0 I + sum_j nu_j E_j with the s row's
+    # Tr[Z] + sum_j nu_j = 1: this nu keeps sum_j nu_j (1 + |Tr E_j|) and
+    # d ||sum_j nu_j E_j|| below 1/4, so Z >= I / (2d)
+    norms = [1.0 + abs(np.trace(E).real) + d * np.abs(herm_eig(E)[0]).max() for E in in_mats]
+    nu = np.full(len(f), 0.25 / sum(norms) if norms else 0.0)
+    lam = np.zeros(len(b))
+    lam[0] = (1.0 - nu.sum() - sum(v * np.trace(E).real for v, E in zip(nu, in_mats))) / d
+    for y, lam, nu in _path(c, F, Aext, b, G, f, np.append(x, s), lam, nu, 1e-2 * target):
+        if y[-1] > 10 * target and lam @ b + nu @ f - y[-1] <= y[-1]:
+            break
     x, s = y[:-1], y[-1]
     rho = vec_to_mat(x, basis)
     if s <= target:
@@ -309,6 +389,17 @@ def _phase_one(fs: FeasibleSet, basis: np.ndarray):
     return rho, x
 
 
+def _dual_bound(C, eq_mats, b, in_mats, f, lam, nu, scale):
+    """Certified upper bound on max Tr[C rho] from any multipliers: nu is
+    clipped at 0 and the trace multiplier lam_0 shifted by
+    max(0, -lambda_min(Z)) + 1e-15 scale, so that
+    Z = -C + sum_i lam_i A_i + sum_j nu_j E_j >= 0 and weak duality holds."""
+    nu = np.clip(nu, 0.0, None)
+    Z = -C + np.einsum("i,ijk->jk", lam, eq_mats) + np.einsum("j,jkl->kl", nu, in_mats)
+    shift = max(0.0, -np.linalg.eigvalsh(Z)[0]) + 1e-15 * scale
+    return float(lam @ b + shift * b[0] + nu @ f)  # eq row 0 is the trace
+
+
 def solve_linear_sdp(
     C: np.ndarray,
     fs: FeasibleSet,
@@ -316,66 +407,56 @@ def solve_linear_sdp(
 ) -> SdpResult:
     """Maximize Tr[C rho] over the feasible set, with a certified dual bound.
 
-    The trace constraint is always active, so the dual matrix can be shifted
-    along the identity to repair tiny negative eigenvalues; the reported
-    dual_bound accounts for the shift and satisfies optimum <= dual_bound.
+    Runs `_path` in the coordinates rho' = S^-1 rho S^-1, S = rho0^(1/2)
+    for the set's phase-one point rho0, so the path starts at rho' = I and a
+    set that is thin in some direction (p = 0 at large n) stays resolved in
+    double precision.  The dual starts strictly feasible on the trace row:
+    with mu0 = 1e-2 scale, nu_j = mu0 / t_j for the slacks t_j of rho0, and
+    lam_0 such that Z = -C + sum_j nu_j E_j + lam_0 I has lambda_min(Z) = mu0.
+
+    Every iterate's multipliers are certified by `_dual_bound` (nu clipped
+    at 0, lam_0 shifted until Z >= 0), and the reported bound is the running
+    minimum, so optimum <= dual_bound.  The path aims at the requested gap,
+    gap_tol * scale with scale = max(1, ||C||), and stops there; a path that
+    ends short of it returns its best answer when that is within 100 times
+    the requested gap and raises DomainError otherwise.
     """
     C = np.asarray(C, dtype=complex)
-    basis = herm_basis(fs.dim)
-    eq_mats, Aeq, b, in_mats, Evec, f = _assemble(fs, basis)
-    cvec = mat_to_vec(C, basis)
-    x = fs.interior_point[1]
-
+    d = fs.dim
+    basis = herm_basis(d)
+    eq_mats, _, b, in_mats, _, f = _assemble(fs, basis)
+    eq_mats = np.array(eq_mats)
+    in_mats = np.array(in_mats).reshape(len(f), d, d)
     scale = max(1.0, np.abs(herm_eig(C)[0]).max())
-    mu = scale
-    best = None  # (gap, SdpResult); dual bounds stay valid across mu values
-    while True:
-        x = _center(cvec, basis, x, mu, Aeq, b, Evec, f)
-        rho = vec_to_mat(x, basis)
-        # dual candidate from barrier multipliers
-        nu = mu / (f - Evec @ x)
-        lam_use = _dual_from_kkt(C, Aeq, in_mats, nu, rho, mu, basis)
-        Z = -C + sum(l * A for l, A in zip(lam_use, eq_mats))
-        for j, E in enumerate(in_mats):
-            Z = Z + nu[j] * E
-        zmin = herm_eig(Z)[0].min()
-        shift = max(0.0, -zmin) + 1e-15 * scale
-        lam_use[0] += shift  # eq index 0 is the trace constraint
-        dual = float(lam_use @ b + nu @ f)
-        primal = float(cvec @ x)
-        cand = SdpResult(rho, primal, dual)
-        if best is not None:  # earlier dual bounds remain certified
-            cand.dual_bound = min(cand.dual_bound, best[1].dual_bound)
-        gap = cand.dual_bound - cand.primal
-        if best is None or gap < best[0]:
-            best = (gap, cand)
-        if best[0] <= gap_tol * scale:
-            return best[1]
-        if mu < 1e-12 * scale:
-            # numerical floor of the central path; return the best certified
-            # answer if it is close, otherwise give up loudly
-            if best[0] <= 100 * gap_tol * scale:
-                return best[1]
-            raise DomainError(
-                f"interior-point solver stalled with duality gap {best[0]:.3e}"
-            )
-        mu *= 0.1
+    tol = gap_tol * scale
+    rho0 = fs.interior_point[0]
+    w, U = herm_eig(rho0)
+    S = (U * np.sqrt(w)) @ U.conj().T
 
+    def whitened(mats):
+        return np.array([mat_to_vec(S @ A @ S, basis) for A in mats]).reshape(-1, d * d)
 
-def _dual_from_kkt(C, Aeq, in_mats, nu, rho, mu, basis):
-    """Least-squares equality multipliers making Z ~ mu rho^{-1} >= 0.
-
-    A numerically singular rho falls back to the pseudo-inverse on its
-    support; the caller's identity shift keeps the dual bound certified."""
-    try:
-        rho_inv = np.linalg.inv(rho)
-    except np.linalg.LinAlgError:
-        rho_inv = mpow(rho, -1.0)
-    target = C + mu * rho_inv
-    for j, E in enumerate(in_mats):
-        target = target - nu[j] * E
-    lam, *_ = np.linalg.lstsq(Aeq.T, mat_to_vec(target, basis), rcond=None)
-    return lam
+    Aeq, Evec, (cvec,) = whitened(eq_mats), whitened(in_mats), whitened([C])
+    mu0 = 1e-2 * scale
+    nu = mu0 / (f - np.einsum("jkl,lk->j", in_mats, rho0).real)
+    lam = np.zeros(len(b))
+    lam[0] = mu0 - herm_eig(-C + np.einsum("j,jkl->kl", nu, in_mats))[0].min()
+    x = mat_to_vec(np.eye(d), basis)
+    best = None  # dual bounds stay valid along the whole path
+    for x, lam, nu in _path(cvec, basis, Aeq, b, Evec, f, x, lam, nu, tol):
+        dual = _dual_bound(C, eq_mats, b, in_mats, f, lam, nu, scale)
+        if best is not None:
+            dual = min(dual, best.dual_bound)
+        cand = SdpResult(S @ vec_to_mat(x, basis) @ S, float(cvec @ x), dual)
+        if best is None or cand.gap < best.gap:
+            best = cand
+        if best.gap <= tol:
+            return best
+    # the path ended short of the requested gap; return the best certified
+    # answer if it is close, otherwise give up loudly
+    if best.gap <= 100 * tol:
+        return best
+    raise DomainError(f"interior-point solver stalled with duality gap {best.gap:.3e}")
 
 
 # ---------------------------------------------------------------------------

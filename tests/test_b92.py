@@ -289,30 +289,41 @@ def test_conventional_key_length_basics():
     assert res.alpha_renyi is None
 
 
-_SINGULAR_ITERATE_POINT = """
+_P0_POINT = """
+import sys
 import numpy as np
 from ucqkd import b92
-from ucqkd.errors import DomainError
-cfg = b92.B92Config(n_tot=10**10, seed=7)
+alpha = sys.argv[2] if sys.argv[2] == "auto" else float(sys.argv[2])
+cfg = b92.B92Config(n_tot=int(sys.argv[1]), seed=7, alpha_renyi=alpha)
 budget = b92.secrecy_budget(cfg, "conventional")
 stats = b92.sample_observed(cfg, 0.0, budget.log2_eps1, np.random.default_rng([7, 3]))
-try:
-    print(b92.conventional_key_length(cfg, stats, budget).n_fin)
-except DomainError as exc:
-    print("DomainError", exc)
+print(b92.conventional_key_length(cfg, stats, budget).n_fin)
 """
 
 
-def test_conventional_point_with_singular_barrier_iterate():
-    # with one BLAS thread an interior-point iterate of this p = 0 point is
-    # numerically singular; the point must end in a key length or in a
-    # DomainError (a flagged CLI row), not in numpy's LinAlgError
+def _p0_key_length(n_tot, alpha_renyi):
+    # one BLAS thread, as in the benchmark and a `ucqkd keyrate --jobs 1` grid
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", _SINGULAR_ITERATE_POINT], env=env,
-                         capture_output=True, text=True, timeout=600)
+    out = subprocess.run([sys.executable, "-c", _P0_POINT, str(n_tot), str(alpha_renyi)],
+                         env=env, capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr
+    return float(out.stdout)
+
+
+def test_conventional_point_with_singular_barrier_iterate():
+    # p = 0: the SDP iterates of this point approach a numerically singular
+    # rho; the point must still certify a key length
+    n_fin = _p0_key_length(10**10, "auto")
+    assert 0.0 < n_fin < B92Config(n_tot=10**10).splits[0] * 2.0 * ALPHA2 * BETA2
+
+
+def test_conventional_point_on_a_thin_acceptance_set():
+    # p = 0 at n_tot = 1e14: the bit-error bound 9.4e-12 leaves a set about
+    # 1e-11 thick, and the key length must still be certified
+    n_fin = _p0_key_length(10**14, 0.01)
+    assert 0.0 < n_fin < B92Config(n_tot=10**14).splits[0] * 2.0 * ALPHA2 * BETA2
 
 
 def test_key_lengths_clamp_at_high_noise():
@@ -591,6 +602,33 @@ def test_universal_point_work_budget(monkeypatch):
                          rho_expected=depolarized_state(cfg, 0.005))
     assert len(stops) <= 12 and "max_outer" not in stops
     assert len(solves) <= 150
+
+
+def test_conventional_point_iterations_per_solve(monkeypatch):
+    # the benchmark's conventional point: every SDP solve of the primal-dual
+    # core ends within 15 iterations (the log-barrier core it replaced took
+    # about 70 Newton steps per solve here)
+    cfg = B92Config(n_tot=10**11, seed=1)
+    budget = secrecy_budget(cfg, "conventional")
+    stats = sample_observed(cfg, 0.02, budget.log2_eps1, np.random.default_rng([1, 0]))
+    solve, factor = optimize.solve_linear_sdp, optimize._schur_factor
+    iterations, factored = [], []
+
+    def count_factor(*args):
+        factored.append(1)
+        return factor(*args)
+
+    def count_solve(C, fs, **kwargs):
+        fs.interior_point  # phase one's own iterations are not the solve's
+        start = len(factored)
+        res = solve(C, fs, **kwargs)
+        iterations.append(len(factored) - start)
+        return res
+
+    monkeypatch.setattr(optimize, "_schur_factor", count_factor)
+    monkeypatch.setattr(optimize, "solve_linear_sdp", count_solve)
+    conventional_key_length(cfg, stats, budget)
+    assert iterations and max(iterations) <= 15
 
 
 @pytest.mark.parametrize("analysis,n_tot,rng", [

@@ -145,19 +145,46 @@ def test_phase_one_accepts_bound_below_absolute_target():
     assert res.primal <= 1e-11 <= res.dual_bound <= 1e-11 + 1e-7
 
 
-def test_dual_from_kkt_singular_rho_uses_pseudo_inverse():
-    # an exactly singular rho makes np.linalg.inv raise; the multipliers
-    # then come from the pseudo-inverse on rho's support
-    basis = herm_basis(2)
-    fs = FeasibleSet(dim=2, ineq=[(X2, 0.3)])
-    _, Aeq, _, in_mats, _, _ = optimize._assemble(fs, basis)
-    C = np.diag([1.0, -0.5]).astype(complex)
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    nu = np.array([0.2])
-    lam = optimize._dual_from_kkt(C, Aeq, in_mats, nu, rho, 1e-3, basis)
-    target = C + 1e-3 * np.diag([1.0, 0.0]) - 0.2 * X2
-    expect = np.linalg.lstsq(Aeq.T, mat_to_vec(target, basis), rcond=None)[0]
-    assert np.all(np.isfinite(lam)) and np.allclose(lam, expect, atol=1e-14)
+def test_rank_deficient_optimum_certifies():
+    # the optimum |0><0| is exactly rank one: the iterates approach a
+    # singular rho, and the certificate must hold without a LinAlgError
+    C = np.diag([1.0, 0.0, 0.0, 0.0])
+    res = solve_linear_sdp(C, FeasibleSet(dim=4), gap_tol=1e-12)
+    assert res.primal <= 1.0 <= res.dual_bound <= 1.0 + 1e-11
+    assert herm_eig(res.rho)[0].min() > 0.0
+
+
+# d = 4, optimum 1 on the rank-2 face span{|0>, |1>}; the inequality is
+# inactive there
+DEGENERATE_C = np.diag([1.0, 1.0, 0.2, -1.0])
+DEGENERATE_SET = [(np.diag([0.0, 0.0, 1.0, 0.0]), 1e-3)]
+
+
+@pytest.mark.parametrize("gap_tol", [1e-9, 1e-11])
+def test_degenerate_face_certified_to_the_requested_gap(gap_tol):
+    fs = FeasibleSet(dim=4, ineq=DEGENERATE_SET)
+    res = solve_linear_sdp(DEGENERATE_C, fs, gap_tol=gap_tol)
+    assert res.primal <= 1.0 <= res.dual_bound
+    assert res.dual_bound - 1.0 <= 10 * gap_tol
+    assert res.gap <= gap_tol
+
+
+def test_dual_bound_is_certified_for_any_multipliers():
+    # weak duality after the repair: clipping nu at 0 and shifting the trace
+    # multiplier until Z >= 0 gives a bound on the optimum 1 from any
+    # (lam, nu), negative nu and indefinite Z included
+    fs = FeasibleSet(dim=4, ineq=DEGENERATE_SET)
+    eq_mats, _, b, in_mats, _, f = optimize._assemble(fs, herm_basis(4))
+    rng = np.random.default_rng(11)
+    below = 0
+    for _ in range(200):
+        lam = rng.normal(size=len(b))
+        nu = rng.normal(size=len(f))
+        bound = optimize._dual_bound(DEGENERATE_C, np.array(eq_mats), b,
+                                     np.array(in_mats), f, lam, nu, 1.0)
+        assert bound >= 1.0
+        below += float(lam @ b + nu @ f) < 1.0
+    assert below >= 50  # the unrepaired bounds often undercut the optimum
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +207,33 @@ def _count_phase_one(monkeypatch):
     return runs
 
 
-def test_max_step_is_the_closed_form_boundary():
+def test_boundary_step_is_the_closed_form_boundary():
     # the step stops exactly where M + a dM or a slack t + a dt reaches zero,
-    # or at a full step when the boundary lies beyond it
+    # and is infinite when neither boundary lies ahead
     rng = np.random.default_rng(7)
-    below_cap = 0
+    finite = 0
     for _ in range(200):
         d = int(rng.integers(2, 6))
         A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         M = A @ A.conj().T + 0.1 * np.eye(d)
         dM = rng.uniform(0.1, 10.0) * _rand_herm(d, rng)
+        if rng.uniform() < 0.2:
+            dM = dM @ dM  # no boundary ahead in M
         t = rng.uniform(0.1, 1.0, size=4)
-        dt = rng.normal(size=4)
+        dt = rng.normal(size=4) if rng.uniform() < 0.8 else np.abs(rng.normal(size=4))
 
         def inside(a):
             return herm_eig(M + a * dM)[0].min() > 0.0 and (t + a * dt).min() > 0.0
 
-        a = optimize._max_step(np.linalg.inv(np.linalg.cholesky(M)), dM, t, dt)
-        assert 0.0 < a <= 1.0
-        assert inside((1.0 - 1e-9) * a)
-        if a < 1.0:
-            below_cap += 1
+        a = optimize._boundary_step(np.linalg.inv(np.linalg.cholesky(M)), dM, t, dt)
+        assert a > 0.0
+        if math.isinf(a):
+            assert inside(1e6)
+        else:
+            finite += 1
+            assert inside((1.0 - 1e-9) * a)
             assert not inside((1.0 + 1e-6) * a)
-    assert below_cap >= 50
+    assert 100 <= finite < 200
 
 
 def test_phase_one_runs_once_per_set(monkeypatch):
