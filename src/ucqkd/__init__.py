@@ -15,13 +15,15 @@ Layered structure:
 - ``compression``: universal decoders via operator division and the
   error-exponent bound, with exact desk-scale simulation.
 - ``optimize``: certified primal-dual SDP, facial reduction, the exact
-  tilted projection onto a halfspace, and one concave maximizer,
-  sequential linearization with a fully-corrective Frank-Wolfe weight step;
-  ``b92`` hands it the Sanov divergence minimum as -min_p D(p||q(rho)).
-  Phase one and the SDP solve share one primal-dual path-following core
-  whose dual iterate, shifted along the identity until it is feasible,
-  certifies every bound; phase one and facial reduction run once per
-  feasible set.
+  tilted projection onto a halfspace, and two concave maximizers:
+  sequential linearization with a fully-corrective Frank-Wolfe weight step
+  for the entropy objectives, and ``maximize_on_path`` for an objective of
+  a few linear functionals with closed-form curvature, to which ``b92``
+  hands the Sanov divergence minimum as -min_p D(p||q(rho)).  Phase one,
+  the SDP solve and ``maximize_on_path`` share one primal-dual
+  path-following core whose dual iterate, shifted along the identity until
+  it is feasible, certifies every bound; phase one and facial reduction
+  run once per feasible set.
 - ``b92``: protocol POVMs, acceptance sets, finite-size key lengths for the
   universal and phase-error-pattern analyses, and asymptotic rates with the
   Devetak-Winter cross-check.

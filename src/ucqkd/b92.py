@@ -36,6 +36,7 @@ from .optimize import (
     FeasibleSet,
     MaximizeResult,
     divergence_bits,
+    maximize_on_path,
     renyi_objective_and_gradient,
     sequential_linearization,
     solve_linear_sdp,
@@ -614,26 +615,93 @@ def _min_divergence(fs, ops, gamma, thresh, q5fix):
     jointly convex function) and the p-step, tilting the sifted part of q,
     is exact, so by Danskin's theorem g has the gradient
     sum_i p*_i / (q_i ln 2) ops_i.  Its identity part is dropped, which is
-    exact since the trace is fixed on the set.  The SDP tolerance is 1e-8:
-    the default 1e-7 leaves the divergence high enough to raise the key
-    length on the acceptance sweep.  At 1e-9 the SDP solves certify as well
-    (checked at p = 0.01, n_tot = 1e8 and p = 0.5, n_tot = 1e6, rng 0); at
-    the first point that lowers n_fin by 3.6e-6 relative and takes 1.7
-    times as long.
+    exact since the trace is fixed on the set.  g depends on rho through q
+    alone, and its Hessian in q has rank three: with the tilted sifted
+    distribution pi, w_i = pi_i / q_i and the tilt's variance
+    V = Var_pi(gamma), -ln2 d^2g = kappa (w w^T + v v^T / V) + q5fix / q_5^2
+    on the last outcome, v_i = w_i (gamma_i - <gamma>_pi) and
+    kappa = 1 - q5fix (only kappa w w^T while the halfspace is slack).  So
+    `maximize_on_path` follows g itself, with gap_tol 1e-13: the
+    divergences that set a threshold are about 1e-8 bits at n_tot = 1e11,
+    and the threshold's certificate spends this gap divided by the slope.
     """
     ops = np.array(ops, dtype=complex)
     eye = np.eye(fs.dim)
+    kappa = 1.0 - q5fix
 
     def objective(rho):
         q = np.clip(np.einsum("kij,ji->k", ops, rho).real, 1e-300, None)
         u, _ = tilted_projection(q[:-1], gamma, thresh)
-        p = np.append((1.0 - q5fix) * u, q5fix)
+        p = np.append(kappa * u, q5fix)
         grad = np.einsum("k,kij->ij", p / (q * LN2), ops)
         grad = grad - (np.trace(grad).real / fs.dim) * eye
-        return -divergence_bits(p, q), 0.5 * (grad + grad.conj().T)
+        w = np.append(u / q[:-1], 0.0)
+        last = np.zeros(len(q))
+        last[-1] = math.sqrt(q5fix) / q[-1]
+        rows = [math.sqrt(kappa) * w, last]
+        var = float(u @ gamma**2 - (u @ gamma) ** 2)
+        if float(gamma @ q[:-1]) < thresh * q[:-1].sum() and var > 0.0:
+            rows.append(math.sqrt(kappa / var) * w * np.append(gamma - u @ gamma, 0.0))
+        K = np.einsum("rk,kij->rij", np.array(rows) / math.sqrt(LN2), ops)
+        return -divergence_bits(p, q), 0.5 * (grad + grad.conj().T), K
 
-    res = sequential_linearization(objective, fs, sdp_gap_tol=1e-8)
+    res = maximize_on_path(objective, fs, gap_tol=1e-13)
     return -res.value, res
+
+
+def _sanov_threshold(fs, ops, gamma, q5fix, target, t0, t_tol):
+    """A certified exclusion threshold t* >= t0: every feasible rho gives
+    the halfspace <gamma,u> >= t* of the sifted outcomes a divergence of at
+    least `target`, so its probability is at most 2^(-n target) by Sanov.
+    Returns inf when no threshold below gamma.max() is certified.
+
+    Each divergence minimum at a threshold t, with witness rho and tilted p,
+    certifies a line in t.  For f = log(p / q(rho)), affine in gamma with
+    slope s (the tilt) on the sifted outcomes, Donsker-Varadhan gives for
+    every feasible rho' and every p' in the halfspace at t'
+    D(p'||q(rho')) >= E_p'[f] - ln Tr[C rho'] >= D(p||q(rho))
+    + (1 - q5fix) s (t' - t) - ln U in nats, with C = sum_i e^f_i ops_i and
+    U = max Tr[C rho'] <= 1 + gap ln 2 for the certified gap of the
+    minimization, since g's gradient there is C / ln 2.  The line's root
+    is a certified threshold above t*.  The next t is where the witness
+    itself reaches the target, a threshold below t*, so the two close in on
+    t* from both sides; the search stops once the bracket is narrower than
+    t_tol plus what the certificate's own gap leaves, or after 8
+    minimizations.
+    """
+    kappa = 1.0 - q5fix
+    t_top = gamma.max() - 1e-12 * max(1.0, abs(gamma.max()))
+    hi, t = math.inf, t0
+    for _ in range(8):
+        div, res = _min_divergence(fs, ops, gamma, t, q5fix)
+        q = np.array([float(np.trace(O @ res.sigma).real) for O in ops])
+        qs = q[:-1] / q[:-1].sum()
+
+        def witness(x):
+            return divergence_bits(np.append(kappa * tilted_projection(qs, gamma, x)[0],
+                                             q5fix), q)
+
+        u = tilted_projection(qs, gamma, t)[0]
+        on = u > 0
+        dev = gamma[on] - u @ gamma
+        var = float(u[on] @ dev**2)
+        slope = kappa * float(u[on] @ (dev * np.log(u[on] / qs[on]))) / (var * LN2) \
+            if var > 0.0 else 0.0
+        lower = div - math.log1p(res.gap * LN2) / LN2
+        if slope > 0.0:
+            hi = min(hi, float(u @ gamma) + (target - lower) / slope)
+        elif lower >= target:
+            hi = -math.inf
+        if div >= target or witness(t_top) < target:
+            break
+        t_next = brentq(lambda x: witness(x) - target, max(t, float(qs @ gamma)), t_top,
+                        xtol=0.1 * t_tol)
+        # the certificate's own gap leaves (div - lower) / slope of the
+        # bracket, which no further minimization removes
+        if t_next <= t or slope > 0.0 and hi - t_next <= t_tol + 2.0 * (div - lower) / slope:
+            break
+        t = t_next
+    return max(t0, hi)
 
 
 def conventional_key_length(
@@ -643,7 +711,8 @@ def conventional_key_length(
 
     The halfspace direction is the exponent gradient at the worst-case point
     of the acceptance set (any direction yields a valid lower bound on the
-    key); its offset is root-found so the excluded set has probability eps2.
+    key); its offset is the certified threshold of `_sanov_threshold`, so the
+    excluded set has probability at most eps2.
     """
     povms = build_povms(cfg)
     n_extr, n_test, _ = cfg.splits
@@ -669,29 +738,14 @@ def conventional_key_length(
 
     target = (-budget.log2_eps2) / n_extr
     t0 = float(gamma @ ustar)
-    t_hi = float(gamma.max())
-    t_top = t_hi - 1e-12 * max(1.0, abs(t_hi))
-
-    gaps = {}  # brentq re-evaluates the bracket ends t0 and t_top solved below
-
-    def gap(t):
-        if t not in gaps:
-            gaps[t] = _min_divergence(fs, ops, gamma, t, q5fix)[0] - target
-        return gaps[t]
-
+    # a bracket on t* worth less than one key bit plus the exponent maximum's
+    # own certified gap, which max_h carries already, is fine enough
+    tstar = _sanov_threshold(fs, ops, gamma, q5fix, target, t0, (1.0 / n1 + res.gap) / mass)
     # The exponent is concave and scale-invariant, so its gradient at u* on
     # the simplex is mass * gamma, and every u with <gamma,u> <= t has
-    # exponent <= res.value + mass (t - t0) <= res.upper_bound + mass (t - t0).
-    # gap is nondecreasing in t, so gap(t0) >= 0 means t* = t0.
-    if gap(t0) >= 0.0:
-        max_h = res.upper_bound
-    elif t_hi - t0 < 1e-12 or gap(t_top) < 0.0:
-        # the halfspace cannot be pushed far enough: no exclusion, use the
-        # maximum over the whole simplex, H(phase|bit) <= 1
-        max_h = 1.0
-    else:
-        tstar = brentq(gap, t0, t_top, xtol=1e-12, rtol=1e-10)
-        max_h = res.upper_bound + mass * (tstar - t0)
+    # exponent <= res.value + mass (t - t0) <= res.upper_bound + mass (t - t0);
+    # the exponent never exceeds H(phase|bit) <= 1 either.
+    max_h = min(1.0, res.upper_bound + mass * (tstar - t0))
 
     n_fin = n1 * (1.0 - max_h) - budget.s
     clamped = n_fin <= 0.0

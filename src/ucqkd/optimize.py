@@ -1,44 +1,49 @@
 """Convex optimization kernels: a self-contained primal-dual interior-point
 solver for linear SDPs with certified dual bounds, concave entropy objectives
-with Frechet-derivative gradients, sequential linearization (outer
-approximation) for maximizing concave objectives over SDP feasible sets, and
-the exact tilted projection of a distribution onto a halfspace.  Sequential
-linearization is the one optimizer loop: a classical divergence minimized
-over a state set is handed to it as the concave objective -min_p D(p||q(rho)).
+with Frechet-derivative gradients, two certified maximizers of concave
+objectives over SDP feasible sets, and the exact tilted projection of a
+distribution onto a halfspace.  Sequential linearization (outer
+approximation with fully-corrective Frank-Wolfe) takes any objective with a
+gradient; `maximize_on_path` takes an objective of a few linear functionals
+Tr[O_i rho] with its closed-form curvature, such as the classical divergence
+-min_p D(p||q(rho)) of a state set, and follows the interior-point path on
+it, which reaches a gap of 1e-13 in under 20 steps where Frank-Wolfe stalls
+on curved faces.
 
 All certified bounds are one-sided in the safe direction: SDP maximizations
-report a dual upper bound, sequential linearization reports the minimum of
-accumulated linearized upper bounds together with the best feasible value.
+report a dual upper bound, and both maximizers report a certified upper
+bound from the linearization at their own iterates together with the best
+feasible value.
 
-One primal-dual path-following core, `_path`, serves both phase one and the
-SDP solve: HKM directions with Mehrotra's predictor-corrector, which carry
-the dual multipliers (lam, nu) and the dual matrix Z as iterates, so every
-iterate has a dual to certify.  Each step is 0.98 of the largest step that
-stays strictly feasible, capped at 1, and `_boundary_step` finds it in
-closed form from the Cholesky factors the Newton system already used.  What
-certifies an SDP bound is the dual iterate itself: `_dual_bound` clips nu
-at 0 and shifts the trace multiplier along the identity until Z >= 0, so
-weak duality holds for any multipliers, and the reported bound is the
-running minimum over the path.  The path aims at the requested gap and no
-deeper: its centring target never asks for less complementarity than half
-of gap_tol * scale, which keeps the returned primal point off the PSD
-boundary by about as much as that gap allows.
+One primal-dual path-following core, `_path`, serves phase one, the SDP
+solve and `maximize_on_path`: HKM directions with Mehrotra's
+predictor-corrector, which carry the dual multipliers (lam, nu) and the dual
+matrix Z as iterates, so every iterate has a dual to certify.  Each step is
+`_step`, 0.98 of the largest step that stays strictly feasible and at most
+the full step 1, and `_boundary_step` finds that largest step in closed form
+from the Cholesky factors the Newton system already used.  What certifies a
+bound is the dual iterate itself: `_dual_bound` clips nu at 0 and shifts the
+trace multiplier along the identity until Z >= 0, so weak duality holds for
+any multipliers.  The path aims at the requested gap and no deeper: its
+centring target never asks for less complementarity than half of
+gap_tol * scale, which keeps the returned primal point off the PSD boundary
+by about as much as that gap allows.
 
 Phase one runs once per feasible set: a `FeasibleSet` keeps its strictly
-feasible point rho0, and every SDP solve and linearization on that same
-object starts from it; an SDP solve runs in the coordinates S^-1 rho S^-1,
+feasible point rho0, and every SDP solve and maximization on that same
+object starts from it; the path runs in the coordinates S^-1 rho S^-1,
 S = rho0^(1/2), where its start is the identity.  Linearization changes only
 the objective, so the feasible set, and with it the starting point, stays
 fixed for a whole run.
-`sequential_linearization` solves on the set's facial-reduction face, which
-the set also keeps, so maximizations on one set share the reduced set and
-its phase-one point.
+Both maximizers solve on the set's facial-reduction face, which the set
+also keeps, so maximizations on one set share the reduced set and its
+phase-one point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -227,6 +232,12 @@ def _boundary_step(Linv, dM, v, dv):
     return a
 
 
+def _step(a_max):
+    """The step the path takes when a_max is the largest one that stays
+    strictly feasible: 0.98 of it, and never more than the full step 1."""
+    return min(1.0, 0.98 * a_max)
+
+
 def _schur_factor(H, G, w, Aeq):
     """LU factors of the Newton system in (dy, dnu, dlam),
 
@@ -252,32 +263,40 @@ def _schur_factor(H, G, w, Aeq):
     return lu_factor(D[:, None] * K * D, check_finite=False), D
 
 
-def _path(c, F, Aeq, b, G, g, y, lam, nu, aim):
+def _path(objective, F, Aeq, b, G, g, y, lam, nu, aim):
     """Primal-dual path following for
 
-        max c.y  s.t.  Aeq y = b,  M(y) = sum_k y_k F_k >= 0,  G y <= g,
+        max phi(y)  s.t.  Aeq y = b,  M(y) = sum_k y_k F_k >= 0,  G y <= g,
 
-    and its dual, min b.lam + g.nu s.t. Aeq^T lam + G^T nu - c = F*(Z),
-    Z >= 0, nu >= 0, with F*(Z)_k = Tr[F_k Z].  The first d*d matrices F_k
-    must be an orthonormal basis of the d x d Hermitian matrices, so the
-    dual matrix is a function of the multipliers,
-    Z = sum_{k < d*d} (Aeq^T lam + G^T nu - c)_k F_k, and every iterate
-    meets those rows of the dual constraint exactly.  From a strictly
-    feasible y and (lam, nu) with Z > 0 it yields the start and then each
-    iterate as (y, lam, nu), until the complementarity Tr[M Z] + t.nu
-    (t = g - G y), the duality gap of a feasible pair, is at most `aim`, a
-    step collapses or 50 steps have been taken.
+    phi concave, and the dual of its linearization, min b.lam + g.nu s.t.
+    Aeq^T lam + G^T nu - c = F*(Z), Z >= 0, nu >= 0, with c = grad phi(y)
+    and F*(Z)_k = Tr[F_k Z].  `objective(y)` returns (c, -hess phi(y)), the
+    second None for a linear phi.  The first d*d matrices F_k must be an
+    orthonormal basis of the d x d Hermitian matrices.  From a strictly
+    feasible y and (lam, nu) with Z = sum_{k < d*d} (Aeq^T lam + G^T nu -
+    c)_k F_k > 0 it yields the start and then each iterate as (y, lam, nu).
+
+    For a linear phi, Z stays that function of the multipliers, so every
+    iterate meets those rows of the dual constraint exactly, and the path
+    stops once the complementarity Tr[M Z] + t.nu (t = g - G y), the
+    duality gap of a feasible pair, is at most `aim`.  For a curved phi, c
+    moves with y, so Z is an iterate of its own and the Newton step also
+    removes the dual residual Aeq^T lam + G^T nu - c - F*(Z), whose next
+    value is second order in the step; the caller stops that path on its
+    own certified gap.  Either path also ends when a step collapses or
+    after 50 steps.
 
     Each step is the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz
     1996) with Mehrotra's predictor-corrector.  With the whitened
     P_k = L_M^-1 F_k L_Z of the Cholesky factors M = L_M L_M^dag and
     Z = L_Z L_Z^dag, the matrix block of the Newton system is
-    H = Re Tr[P_k^dag P_l]; the slacks enter through `_schur_factor`.  The
-    centring target sigma mu never aims below complementarity aim/2:
-    sigma = max(sigma_Mehrotra, aim / (2 m mu)), m = d + len(g), so the path
-    stops where the requested gap is met and goes no deeper.  Each step is
-    0.98 of the largest one that stays strictly feasible, capped at 1,
-    taken in closed form (`_boundary_step`) from the same Cholesky factors.
+    H = Re Tr[P_k^dag P_l] - hess phi; the slacks enter through
+    `_schur_factor`.  The centring target sigma mu never aims below
+    complementarity aim/2: sigma = max(sigma_Mehrotra, aim / (2 m mu)),
+    m = d + len(g), so the path goes no deeper than the requested gap.
+    Each step is `_step` of the largest one that stays strictly feasible,
+    found in closed form (`_boundary_step`) from the same Cholesky factors;
+    a curved phi takes one step length for y and the multipliers.
     """
     n, d, _ = F.shape
     flat = F.reshape(n, d * d)
@@ -287,6 +306,7 @@ def _path(c, F, Aeq, b, G, g, y, lam, nu, aim):
     def dual_matrix(w):
         return (w[: d * d] @ flat[: d * d]).reshape(d, d)
 
+    c, Hc = objective(y)
     Z = dual_matrix(Aeq.T @ lam + G.T @ nu - c)
     yield y, lam, nu
     for _ in range(50):
@@ -298,18 +318,21 @@ def _path(c, F, Aeq, b, G, g, y, lam, nu, aim):
         except np.linalg.LinAlgError:
             return  # rounding left an iterate numerically singular
         gap = float((M * Z.T).sum().real + t @ nu)
-        if gap <= aim:
-            return
+        if gap <= aim and Hc is None:
+            return  # a curved path also has a dual residual; its caller stops it
         mu = gap / m
         LZ_inv = np.linalg.inv(LZ)
         M_inv = LM_inv.conj().T @ LM_inv
         P = (LM_inv @ F @ LZ).reshape(n, d * d).view(np.float64)
-        K_lu, D = _schur_factor(P @ P.T, G, t / nu, Aeq)
+        H = P @ P.T if Hc is None else P @ P.T + Hc
+        K_lu, D = _schur_factor(H, G, t / nu, Aeq)
         r = np.concatenate([c - Aeq.T @ lam - G.T @ nu, t, b - Aeq @ y])
+        if Hc is not None:  # Z lags the gradient, which moved with y
+            Rd = dual_matrix(Aeq.T @ lam + G.T @ nu - c) - Z
 
         def direction(Rc, rc):
             # Newton step towards M Z = Rc, t nu = rc (0 for the affine
-            # predictor); Z moves with the multipliers, so it stays feasible
+            # predictor)
             rhs = r.copy()
             rhs[:n] += (flat @ (M_inv @ Rc).T.ravel()).real
             rhs[n:n + k] -= rc / nu
@@ -317,9 +340,12 @@ def _path(c, F, Aeq, b, G, g, y, lam, nu, aim):
             dy, dnu, dlam = sol[:n], sol[n:n + k], sol[n + k:]
             dM = (dy @ flat).reshape(d, d)
             dt = -G @ dy
-            dZ = dual_matrix(Aeq.T @ dlam + G.T @ dnu)
-            a_p = min(1.0, 0.98 * _boundary_step(LM_inv, dM, t, dt))
-            a_d = min(1.0, 0.98 * _boundary_step(LZ_inv, dZ, nu, dnu))
+            dw = Aeq.T @ dlam + G.T @ dnu
+            dZ = dual_matrix(dw) if Hc is None else dual_matrix(dw + Hc @ dy) + Rd
+            a_p = _step(_boundary_step(LM_inv, dM, t, dt))
+            a_d = _step(_boundary_step(LZ_inv, dZ, nu, dnu))
+            if Hc is not None:
+                a_p = a_d = min(a_p, a_d)
             return dy, dlam, dnu, dZ, dM, dt, a_p, a_d
 
         _, _, dnu, dZ, dM, dt, a_p, a_d = direction(0.0 * eye, 0.0 * t)
@@ -328,10 +354,11 @@ def _path(c, F, Aeq, b, G, g, y, lam, nu, aim):
         sigma = min(1.0, max((mu_aff / mu) ** 3, aim / (2.0 * m * mu)))
         dy, dlam, dnu, dZ, _, _, a_p, a_d = direction(
             sigma * mu * eye - dM @ dZ, sigma * mu - dt * dnu)
-        if max(a_p, a_d) < 1e-12:
-            return
+        if max(a_p, a_d) < 1e-12 or not np.isfinite(dy).all():
+            return  # the step collapsed, or the Newton system went singular
         y = y + a_p * dy
         lam, nu, Z = lam + a_d * dlam, nu + a_d * dnu, Z + a_d * dZ
+        c, Hc = objective(y)
         yield y, lam, nu
 
 
@@ -369,7 +396,8 @@ def _phase_one(fs: FeasibleSet, basis: np.ndarray):
     nu = np.full(len(f), 0.25 / sum(norms) if norms else 0.0)
     lam = np.zeros(len(b))
     lam[0] = (1.0 - nu.sum() - sum(v * np.trace(E).real for v, E in zip(nu, in_mats))) / d
-    for y, lam, nu in _path(c, F, Aext, b, G, f, np.append(x, s), lam, nu, 1e-2 * target):
+    for y, lam, nu in _path(lambda y: (c, None), F, Aext, b, G, f, np.append(x, s), lam, nu,
+                            1e-2 * target):
         if y[-1] > 10 * target and lam @ b + nu @ f - y[-1] <= y[-1]:
             break
     x, s = y[:-1], y[-1]
@@ -400,6 +428,33 @@ def _dual_bound(C, eq_mats, b, in_mats, f, lam, nu, scale):
     return float(lam @ b + shift * b[0] + nu @ f)  # eq row 0 is the trace
 
 
+def _whitening(fs: FeasibleSet):
+    """The set's data for `_path` in the coordinates rho' = S^-1 rho S^-1,
+    S = rho0^(1/2) for the phase-one point rho0, where the start is the
+    identity: (basis, eq_mats, b, in_mats, f, S, whitened), whitened(mats)
+    giving the basis coordinates of S A S for each A."""
+    d = fs.dim
+    basis = herm_basis(d)
+    eq_mats, _, b, in_mats, _, f = _assemble(fs, basis)
+    w, U = herm_eig(fs.interior_point[0])
+    S = (U * np.sqrt(w)) @ U.conj().T
+
+    def whitened(mats):
+        return np.array([mat_to_vec(S @ A @ S, basis) for A in mats]).reshape(-1, d * d)
+
+    return basis, np.array(eq_mats), b, np.array(in_mats).reshape(len(f), d, d), f, S, whitened
+
+
+def _dual_start(C, in_mats, b, f, rho0, mu0):
+    """A strictly feasible dual on the trace row for max Tr[C rho]: nu_j =
+    mu0 / t_j for the slacks t_j of rho0, and lam_0 such that
+    Z = -C + sum_j nu_j E_j + lam_0 I has lambda_min(Z) = mu0."""
+    nu = mu0 / (f - np.einsum("jkl,lk->j", in_mats, rho0).real)
+    lam = np.zeros(len(b))
+    lam[0] = mu0 - herm_eig(-C + np.einsum("j,jkl->kl", nu, in_mats))[0].min()
+    return lam, nu
+
+
 def solve_linear_sdp(
     C: np.ndarray,
     fs: FeasibleSet,
@@ -408,11 +463,10 @@ def solve_linear_sdp(
     """Maximize Tr[C rho] over the feasible set, with a certified dual bound.
 
     Runs `_path` in the coordinates rho' = S^-1 rho S^-1, S = rho0^(1/2)
-    for the set's phase-one point rho0, so the path starts at rho' = I and a
-    set that is thin in some direction (p = 0 at large n) stays resolved in
-    double precision.  The dual starts strictly feasible on the trace row:
-    with mu0 = 1e-2 scale, nu_j = mu0 / t_j for the slacks t_j of rho0, and
-    lam_0 such that Z = -C + sum_j nu_j E_j + lam_0 I has lambda_min(Z) = mu0.
+    for the set's phase-one point rho0 (`_whitening`), so the path starts at
+    rho' = I and a set that is thin in some direction (p = 0 at large n)
+    stays resolved in double precision.  The dual starts strictly feasible
+    on the trace row (`_dual_start` with mu0 = 1e-2 scale).
 
     Every iterate's multipliers are certified by `_dual_bound` (nu clipped
     at 0, lam_0 shifted until Z >= 0), and the reported bound is the running
@@ -422,28 +476,14 @@ def solve_linear_sdp(
     the requested gap and raises DomainError otherwise.
     """
     C = np.asarray(C, dtype=complex)
-    d = fs.dim
-    basis = herm_basis(d)
-    eq_mats, _, b, in_mats, _, f = _assemble(fs, basis)
-    eq_mats = np.array(eq_mats)
-    in_mats = np.array(in_mats).reshape(len(f), d, d)
+    basis, eq_mats, b, in_mats, f, S, whitened = _whitening(fs)
     scale = max(1.0, np.abs(herm_eig(C)[0]).max())
     tol = gap_tol * scale
-    rho0 = fs.interior_point[0]
-    w, U = herm_eig(rho0)
-    S = (U * np.sqrt(w)) @ U.conj().T
-
-    def whitened(mats):
-        return np.array([mat_to_vec(S @ A @ S, basis) for A in mats]).reshape(-1, d * d)
-
     Aeq, Evec, (cvec,) = whitened(eq_mats), whitened(in_mats), whitened([C])
-    mu0 = 1e-2 * scale
-    nu = mu0 / (f - np.einsum("jkl,lk->j", in_mats, rho0).real)
-    lam = np.zeros(len(b))
-    lam[0] = mu0 - herm_eig(-C + np.einsum("j,jkl->kl", nu, in_mats))[0].min()
-    x = mat_to_vec(np.eye(d), basis)
+    lam, nu = _dual_start(C, in_mats, b, f, fs.interior_point[0], 1e-2 * scale)
+    x = mat_to_vec(np.eye(fs.dim), basis)
     best = None  # dual bounds stay valid along the whole path
-    for x, lam, nu in _path(cvec, basis, Aeq, b, Evec, f, x, lam, nu, tol):
+    for x, lam, nu in _path(lambda x: (cvec, None), basis, Aeq, b, Evec, f, x, lam, nu, tol):
         dual = _dual_bound(C, eq_mats, b, in_mats, f, lam, nu, scale)
         if best is not None:
             dual = min(dual, best.dual_bound)
@@ -548,7 +588,7 @@ class MaximizeResult:
     upper_bound: float  # certified upper bound on the optimum
     sigma: np.ndarray
     iterations: int
-    stop: str  # "converged", "sdp_floor" or "max_outer"
+    stop: str  # "converged", "sdp_floor", "max_outer" or "stalled"
 
     @property
     def gap(self) -> float:
@@ -650,6 +690,63 @@ def sequential_linearization(
         best_sigma = V @ best_sigma @ V.conj().T
     return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma,
                           iterations=it, stop=stop)
+
+
+def maximize_on_path(objective, fs: FeasibleSet, gap_tol: float = 1e-7) -> MaximizeResult:
+    """Maximize a smooth concave objective(rho) -> (value, gradient, K) over
+    the set by following `_path` on the objective itself, with K an array of
+    Hermitian matrices K_r giving the curvature: the second derivative along
+    X is -sum_r Tr[K_r X]^2.  An objective of a few linear functionals
+    Tr[O_i rho] has such a K with one matrix per functional, and then each
+    step is a primal-dual Newton step on the objective itself and the path
+    converges like a linear SDP's, where sequential linearization needs an
+    SDP solve per outer step and stalls on curved faces.
+
+    Certified as the linearization at each iterate s_k is: by concavity
+    f* <= f(s_k) + max_feasible Tr[G_k (s - s_k)], and the path's own
+    multipliers bound that maximum through `_dual_bound`.  The result is the
+    iterate whose own bound is closest to its value, so upper_bound - value
+    also bounds max_feasible Tr[G (s - sigma)] at the returned sigma.  The
+    path aims at gap_tol * scale, scale = max(1, ||G||) at the start, and
+    `stop` is "converged" when that gap is met and "stalled" when the path
+    ended short of it.  Runs on the set's face, like
+    `sequential_linearization`.
+    """
+    red, V = fs.face
+    basis, eq_mats, b, in_mats, f, S, whitened = _whitening(red)
+    seen = {}
+
+    def at(x):
+        # value, gradient and curvature at basis coordinates x, in both the
+        # set's and the whitened coordinates; the path and the bound share them
+        key = x.tobytes()
+        if key not in seen:
+            rho = S @ vec_to_mat(x, basis) @ S
+            val, grad, K = objective(V @ rho @ V.conj().T)
+            grad, K = V.conj().T @ grad @ V, V.conj().T @ K @ V
+            Kx = whitened(K)
+            seen.clear()
+            seen[key] = rho, val, grad, whitened([grad])[0], Kx.T @ Kx
+        return seen[key]
+
+    x = mat_to_vec(np.eye(red.dim), basis)
+    _, _, grad, _, _ = at(x)
+    scale = max(1.0, np.abs(herm_eig(grad)[0]).max())
+    tol = gap_tol * scale
+    lam, nu = _dual_start(grad, in_mats, b, f, red.interior_point[0], 1e-2 * scale)
+    Aeq, Evec = whitened(eq_mats), whitened(in_mats)
+    best = None
+    for it, (x, lam, nu) in enumerate(_path(lambda x: at(x)[3:], basis, Aeq, b, Evec, f,
+                                            x, lam, nu, tol)):
+        rho, val, grad, _, _ = at(x)
+        upper = val + _dual_bound(grad, eq_mats, b, in_mats, f, lam, nu, scale) \
+            - float(np.trace(grad @ rho).real)
+        if best is None or upper - val < best.gap:
+            best = MaximizeResult(value=val, upper_bound=upper, sigma=V @ rho @ V.conj().T,
+                                  iterations=it, stop="converged")
+        if best.gap <= tol:
+            return best
+    return replace(best, iterations=it, stop="stalled")
 
 
 # ---------------------------------------------------------------------------

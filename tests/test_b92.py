@@ -412,6 +412,36 @@ def test_conventional_solves_each_threshold_once(monkeypatch):
     assert all(t < top for t, top in zip(thresholds, tops))
 
 
+def test_sanov_threshold_certified_at_benchmark_point(monkeypatch):
+    # p = 0.02, n_tot = 1e11: a feasible state has divergence below the
+    # target at t0, so t0 itself is no valid threshold; the divergence
+    # minimum at the returned t* reaches the target, and one feasible state
+    # still falls short of it at t* - 2 t_tol, so t* is tight to that
+    cfg = B92Config(n_tot=10**11, seed=1)
+    budget = secrecy_budget(cfg, "conventional")
+    stats = sample_observed(cfg, 0.02, budget.log2_eps1, np.random.default_rng([1, 0]))
+    searches, minima = [], []
+    search, min_divergence = b92._sanov_threshold, b92._min_divergence
+
+    def spy_search(*args):
+        searches.append((args, search(*args)))
+        return searches[-1][1]
+
+    def spy_divergence(fs, ops, gamma, thresh, q5fix):
+        out = min_divergence(fs, ops, gamma, thresh, q5fix)
+        minima.append((thresh, out[0]))
+        return out
+
+    monkeypatch.setattr(b92, "_sanov_threshold", spy_search)
+    monkeypatch.setattr(b92, "_min_divergence", spy_divergence)
+    conventional_key_length(cfg, stats, budget)
+    (fs, ops, gamma, q5fix, target, t0, t_tol), tstar = searches[0]
+    assert minima[0][0] == t0 and minima[0][1] < target and tstar > t0
+    div, res = min_divergence(fs, ops, gamma, tstar, q5fix)
+    assert res.stop == "converged" and div >= target
+    assert min_divergence(fs, ops, gamma, tstar - 2.0 * t_tol, q5fix)[0] < target
+
+
 def _divergence_point():
     """The acceptance set at p=0.01, n_tot=1e9 (seed 1) and a threshold on
     the sifted outcomes that the expected state misses."""
@@ -430,20 +460,21 @@ def _divergence_point():
 
 def test_min_divergence_danskin_gradient(monkeypatch):
     # the objective handed to the maximizer is -min_p D(p||q(rho)); its
-    # gradient must match finite differences along traceless directions
+    # gradient must match finite differences along traceless directions, and
+    # its curvature matrices K_r the second difference -sum_r Tr[K_r H]^2
     fs, ops, gamma, thresh, q5fix = _divergence_point()
-    objectives, linearize = [], b92.sequential_linearization
+    objectives, maximize = [], b92.maximize_on_path
 
     def record(objective, *args, **kwargs):
         objectives.append(objective)
-        return linearize(objective, *args, **kwargs)
+        return maximize(objective, *args, **kwargs)
 
-    monkeypatch.setattr(b92, "sequential_linearization", record)
+    monkeypatch.setattr(b92, "maximize_on_path", record)
     b92._min_divergence(fs, ops, gamma, thresh, q5fix)
     objective = objectives[0]
     rng = np.random.default_rng(3)
     rho = fs.interior_point[0]
-    _, grad = objective(rho)
+    _, grad, K = objective(rho)
     assert abs(np.trace(grad)) <= 1e-9 * np.abs(grad).max()
     h = 1e-6
     for _ in range(5):
@@ -452,6 +483,9 @@ def test_min_divergence_danskin_gradient(monkeypatch):
         H -= np.trace(H).real / 4 * np.eye(4)
         fd = (objective(rho + h * H)[0] - objective(rho - h * H)[0]) / (2 * h)
         assert abs(fd - float(np.trace(grad @ H).real)) <= 1e-6 * max(1.0, abs(fd))
+        fd2 = float(np.trace((objective(rho + h * H)[1] - objective(rho - h * H)[1]) @ H).real)
+        curv = -sum(float(np.trace(k @ H).real) ** 2 for k in K)
+        assert abs(fd2 / (2 * h) - curv) <= 1e-5 * max(1.0, abs(curv))
 
 
 def test_min_divergence_certified_lower_bound():
@@ -604,31 +638,37 @@ def test_universal_point_work_budget(monkeypatch):
     assert len(solves) <= 150
 
 
-def test_conventional_point_iterations_per_solve(monkeypatch):
-    # the benchmark's conventional point: every SDP solve of the primal-dual
-    # core ends within 15 iterations (the log-barrier core it replaced took
-    # about 70 Newton steps per solve here)
+def test_conventional_point_work_budget(monkeypatch):
+    # the benchmark's conventional point: the pattern maximum makes at most 6
+    # SDP solves of at most 15 iterations each (the log-barrier core took
+    # about 70 Newton steps per solve here), and the threshold search at most
+    # 3 divergence minimizations on the path of at most 20 iterations each
+    # (measured: 2 solves of 9 iterations, 2 minimizations of 17)
     cfg = B92Config(n_tot=10**11, seed=1)
     budget = secrecy_budget(cfg, "conventional")
     stats = sample_observed(cfg, 0.02, budget.log2_eps1, np.random.default_rng([1, 0]))
-    solve, factor = optimize.solve_linear_sdp, optimize._schur_factor
-    iterations, factored = [], []
+    factor = optimize._schur_factor
+    factored, solves, minimizations = [], [], []
 
     def count_factor(*args):
         factored.append(1)
         return factor(*args)
 
-    def count_solve(C, fs, **kwargs):
-        fs.interior_point  # phase one's own iterations are not the solve's
-        start = len(factored)
-        res = solve(C, fs, **kwargs)
-        iterations.append(len(factored) - start)
-        return res
+    def counted(run, into):
+        def wrapper(*args, **kwargs):
+            args[1].interior_point  # phase one's own iterations are not the solve's
+            start = len(factored)
+            res = run(*args, **kwargs)
+            into.append(len(factored) - start)
+            return res
+        return wrapper
 
     monkeypatch.setattr(optimize, "_schur_factor", count_factor)
-    monkeypatch.setattr(optimize, "solve_linear_sdp", count_solve)
+    monkeypatch.setattr(optimize, "solve_linear_sdp", counted(optimize.solve_linear_sdp, solves))
+    monkeypatch.setattr(b92, "maximize_on_path", counted(b92.maximize_on_path, minimizations))
     conventional_key_length(cfg, stats, budget)
-    assert iterations and max(iterations) <= 15
+    assert 0 < len(solves) <= 6 and max(solves) <= 15
+    assert 0 < len(minimizations) <= 3 and max(minimizations) <= 20
 
 
 @pytest.mark.parametrize("analysis,n_tot,rng", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ucqkd import optimize
+from ucqkd import b92, optimize
 from ucqkd.b92 import _min_divergence
 from ucqkd.errors import InfeasibleError, UsageError
 from ucqkd.matfun import herm_eig, random_density
@@ -18,6 +18,7 @@ from ucqkd.optimize import (
     facial_reduce,
     herm_basis,
     mat_to_vec,
+    maximize_on_path,
     pinch,
     renyi_objective_and_gradient,
     sequential_linearization,
@@ -209,7 +210,8 @@ def _count_phase_one(monkeypatch):
 
 def test_boundary_step_is_the_closed_form_boundary():
     # the step stops exactly where M + a dM or a slack t + a dt reaches zero,
-    # and is infinite when neither boundary lies ahead
+    # and is infinite when neither boundary lies ahead; the path's step rule
+    # takes 0.98 of it, at most the full step, and stays inside
     rng = np.random.default_rng(7)
     finite = 0
     for _ in range(200):
@@ -227,6 +229,8 @@ def test_boundary_step_is_the_closed_form_boundary():
 
         a = optimize._boundary_step(np.linalg.inv(np.linalg.cholesky(M)), dM, t, dt)
         assert a > 0.0
+        step = optimize._step(a)
+        assert step == min(1.0, 0.98 * a) and 0.0 < step <= 1.0 and inside(step)
         if math.isinf(a):
             assert inside(1e6)
         else:
@@ -234,6 +238,30 @@ def test_boundary_step_is_the_closed_form_boundary():
             assert inside((1.0 - 1e-9) * a)
             assert not inside((1.0 + 1e-6) * a)
     assert 100 <= finite < 200
+
+
+def test_maximize_on_path_certifies_a_curved_maximum():
+    # f(rho) = -sum_i (Tr[O_i rho] - a_i)^2 has curvature matrices sqrt(2) O_i;
+    # its optimum lies on the set's boundary.  The path's certified bracket
+    # meets the requested gap and agrees with sequential linearization's
+    rng = np.random.default_rng(12)
+    O = [_rand_herm(3, rng) for _ in range(3)]
+    a = np.array([2.0, -1.5, 1.0])
+    fs = FeasibleSet(dim=3, ineq=[(np.diag([1.0, 0.0, 0.0]), 0.2), (_rand_herm(3, rng), 0.1)])
+
+    def objective(rho):
+        r = np.array([np.trace(Oi @ rho).real for Oi in O]) - a
+        grad = -2.0 * sum(ri * Oi for ri, Oi in zip(r, O))
+        return -float(r @ r), grad, math.sqrt(2.0) * np.array(O)
+
+    res = maximize_on_path(objective, fs, gap_tol=1e-10)
+    assert res.stop == "converged" and res.gap >= 0.0
+    assert 0.0 <= herm_eig(res.sigma)[0].min() < 1e-6  # on the PSD boundary
+    assert all(float(np.trace(E @ res.sigma).real) <= f + 1e-12 for E, f in fs.ineq)
+    ref = sequential_linearization(lambda rho: objective(rho)[:2], fs)
+    # ref's sigma carries 1e-9 of the identity, which may leave the set by that
+    assert ref.value <= res.upper_bound + 1e-8 and res.value <= ref.upper_bound + 1e-12
+    assert res.gap < ref.gap
 
 
 def test_phase_one_runs_once_per_set(monkeypatch):
@@ -616,13 +644,23 @@ def test_fcfw_step_weight_gradient_renyi(monkeypatch):
 
 
 def test_fcfw_step_weight_gradient_divergence(monkeypatch):
+    # the divergence objective, whose gradient drops the identity part, run
+    # through sequential linearization's weight solve
     rng = np.random.default_rng(9)
     seen = _weight_solves(monkeypatch)
     mats = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     fs = FeasibleSet(dim=2, ineq=[(mats[0], 0.6), (X, 0.3)])
     gamma = np.array([1.0, 0.0])
+    objectives = []
+
+    def record(objective, *args, **kwargs):
+        objectives.append(objective)
+        return maximize_on_path(objective, *args, **kwargs)
+
+    monkeypatch.setattr(b92, "maximize_on_path", record)
     _min_divergence(fs, _fixed_last(mats, 0.1), gamma, 0.9, 0.1)
+    sequential_linearization(lambda rho: objectives[0](rho)[:2], fs)
     assert seen
     for fun, x0 in seen[:3]:
         _check_weight_gradient(fun, len(x0), rng, on_simplex=True)
