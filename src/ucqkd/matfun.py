@@ -23,8 +23,10 @@ def check_hermitian(A: np.ndarray, tol: float = 1e-12, what: str = "matrix") -> 
 
 
 def herm_eig(A: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    return np.linalg.eigh(0.5 * (A + np.asarray(A, dtype=complex).conj().T))
+    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues); a real
+    symmetric A keeps real eigenvectors."""
+    A = np.asarray(A)
+    return np.linalg.eigh(0.5 * (A + A.conj().T))
 
 
 def mpow(A: np.ndarray, p: float, clamp: float = EIG_CLAMP) -> np.ndarray:

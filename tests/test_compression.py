@@ -25,7 +25,7 @@ from ucqkd.compression import (
     theorem_overhead,
 )
 from ucqkd.entropies import CqSource
-from ucqkd.errors import CapacityError, UsageError
+from ucqkd.errors import CapacityError, InvariantError, UsageError
 from ucqkd.fields import field
 from ucqkd.hashing import enumerate_surjective_family, hash_apply
 from ucqkd.matfun import herm_eig, random_density, support_projector
@@ -145,6 +145,46 @@ def test_decoder_povm_matches_division_per_element():
     assert not povm[(1, 2)].any()
 
 
+def test_bin_success_matches_decoder_povm_on_a_rank_deficient_bin():
+    # real low-rank sigmas and one zero weight leave the denominator rank 2
+    # of 4; the source states are complex, the contraction reads Re rho_x
+    rng = np.random.default_rng(13)
+    src = _random_source(rng, full_rank=False)
+    pre = [(0, 1), (1, 0), (1, 1)]
+    sigmas = {}
+    for x in pre:
+        v = rng.normal(size=4)
+        sigmas[x] = np.outer(v, v)
+    weights = {(0, 1): 0.3, (1, 0): 0.0, (1, 1): 0.7}
+    povm = build_decoder_povm(pre, weights, sigmas)
+    assert np.linalg.matrix_rank(sum(povm.values())) == 2
+    rhos = [_product_state(src, x) for x in pre]
+    assert all(np.abs(rho.imag).max() > 1e-3 for rho in rhos)
+    good = compression._bin_success(
+        np.stack([weights[x] * sigmas[x] for x in pre]),
+        np.stack([rho.real for rho in rhos]),
+    )
+    ref = [np.trace(rho @ povm[x]).real for rho, x in zip(rhos, pre)]
+    assert np.abs(good - ref).max() <= 1e-12
+    assert good[1] == 0.0
+
+
+def test_complex_decoder_states_are_rejected(monkeypatch):
+    def phased(x, d):
+        sigma = sigma_for_string(x, d)
+        P = np.diag(np.exp(1j * np.arange(sigma.shape[0])))
+        return P @ sigma @ P.conj().T
+
+    monkeypatch.setattr(compression, "sigma_for_string", phased)
+    rng = np.random.default_rng(14)
+    exp = CompressionExperiment(
+        source=_random_source(rng), n=2, bins_log=1.0,
+        decoder_kind="fully-universal", hash_dits=1,
+    )
+    with pytest.raises(InvariantError):
+        exact_error_probability(exp)
+
+
 def _member_by_member_error(exp):
     """Reference: every member on its own, one hash_apply per string, one
     operator division per decoder element and Tr[rho Y] as a matrix product."""
@@ -178,21 +218,28 @@ def _member_by_member_error(exp):
     return mean, float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
-# (n, |X|, hash dits m, bins_log, decoder, family); |X| = 4 bins over GF(4)
+# (n, |X|, hash dits m, bins_log, decoder, family, trials); |X| = 4 bins over
+# GF(4); the D = 64 case has the shape of the benchmark's heaviest experiment
 REFERENCE_CASES = [
-    (4, 2, 2, 2.0, "partially-universal", "all-surjective"),
-    (3, 3, 1, 1.58, "partially-universal", "all-surjective"),
-    (2, 4, 1, 2.0, "fully-universal", "all-surjective"),
-    (5, 2, 2, 2.0, "fully-universal", "toeplitz"),
+    (4, 2, 2, 2.0, "partially-universal", "all-surjective", 20),
+    (3, 3, 1, 1.58, "partially-universal", "all-surjective", 20),
+    (2, 4, 1, 2.0, "fully-universal", "all-surjective", 20),
+    (5, 2, 2, 2.0, "fully-universal", "toeplitz", 20),
+    (6, 2, 3, 3.0, "fully-universal", "toeplitz", 10),
 ]
 
 
-@pytest.mark.parametrize("n,k,m,bins_log,kind,family", REFERENCE_CASES)
-def test_exact_error_matches_member_by_member_reference(n, k, m, bins_log, kind, family):
+@pytest.mark.parametrize(
+    "n,k,m,bins_log,kind,family,trials", REFERENCE_CASES,
+    ids=["-".join(map(str, case[:6])) for case in REFERENCE_CASES],
+)
+def test_exact_error_matches_member_by_member_reference(
+    n, k, m, bins_log, kind, family, trials
+):
     rng = np.random.default_rng(100 + n + k)
     exp = CompressionExperiment(
         source=_random_source(rng, k=k), n=n, bins_log=bins_log,
-        decoder_kind=kind, hash_dits=m, family=family, trials=20, seed=n + k,
+        decoder_kind=kind, hash_dits=m, family=family, trials=trials, seed=n + k,
     )
     mean, stderr = exact_error_probability(exp)
     ref_mean, ref_stderr = _member_by_member_error(exp)

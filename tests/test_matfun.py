@@ -28,6 +28,21 @@ def test_check_hermitian_rejects():
         check_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_herm_eig_keeps_real_input_real():
+    rng = np.random.default_rng(4)
+    G = rng.normal(size=(6, 6))
+    A = G + G.T
+    lam, U = herm_eig(A)
+    assert lam.dtype == U.dtype == np.float64
+    assert np.abs((U * lam) @ U.T - A).max() <= 1e-12
+    # complex input takes exactly the symmetrized complex path
+    C = _rand_herm(6, rng) + 1e-9 * rng.normal(size=(6, 6))
+    lam_c, U_c = herm_eig(C)
+    ref_lam, ref_U = np.linalg.eigh(0.5 * (C + C.conj().T))
+    assert U_c.dtype == np.complex128
+    assert np.array_equal(lam_c, ref_lam) and np.array_equal(U_c, ref_U)
+
+
 def test_mpow_mlog_consistency():
     rng = np.random.default_rng(0)
     for _ in range(10):
