@@ -389,9 +389,9 @@ _KEY_PINCH = [
 ]
 
 
-def _maximize_entropy(objective, fs: FeasibleSet) -> MaximizeResult:
+def _maximize_entropy(objective, fs: FeasibleSet, start=None) -> MaximizeResult:
     # a named step of its own: bench/workloads.py captures this call's result
-    return sequential_linearization(objective, fs)
+    return sequential_linearization(objective, fs, start=start)
 
 
 def renyi_entropy_objective(cfg: B92Config, alpha: float):
@@ -413,9 +413,14 @@ def rstar_upper_bound(
     cfg: B92Config,
     fs: FeasibleSet,
     alpha: float,
+    start: MaximizeResult | None = None,
 ) -> MaximizeResult:
-    """Certified upper bound on max_{rho in B} H^up_{1-alpha}(X|A'B')."""
-    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs)
+    """Certified upper bound on max_{rho in B} H^up_{1-alpha}(X|A'B').
+    `start`, an earlier result of this function on the same set fs, seeds
+    the maximization with its Frank-Wolfe atoms and weights."""
+    if start is not None:
+        start = (start.atoms, start.weights)
+    return _maximize_entropy(renyi_entropy_objective(cfg, alpha), fs, start)
 
 
 def universal_key_length(
@@ -432,7 +437,9 @@ def universal_key_length(
     The certified upper bound on R*_alpha is used, so n_fin is a valid
     (pessimistic) key length.  With alpha_renyi="auto", alpha is the best
     order found by one bounded Brent search from the seed where the penalty
-    terms' 1/alpha cost balances the Renyi order's linear cost.
+    terms' 1/alpha cost balances the Renyi order's linear cost; each order
+    after the first starts its R* maximization from the Frank-Wolfe atoms
+    of the evaluated order nearest to it in log alpha.
     """
     povms = build_povms(cfg)
     n_extr = cfg.splits[0]
@@ -448,9 +455,13 @@ def universal_key_length(
     if n1 == 0 or r_down <= 0.0:
         return replace(base, clamped=True)
     fs = constraint_set_B(stats, cfg.splits, budget.log2_eps2, povms)
+    rstar = {}  # R* results by alpha, all on fs
 
     def n_fin_at(a: float) -> float:
-        res = rstar_upper_bound(cfg, fs, a)
+        # the first order starts cold, each later one from the evaluated
+        # order nearest to it in log alpha
+        start = rstar[min(rstar, key=lambda b: abs(math.log(a / b)))] if rstar else None
+        res = rstar[a] = rstar_upper_bound(cfg, fs, a, start=start)
         syn = (
             n1 * (res.upper_bound + (1.0 - a) / a * math.log2(1.0 / r_down))
             + 18.0 * math.log2(n1 + 1)

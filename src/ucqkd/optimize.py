@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_solve
 from scipy.optimize import brentq, minimize
 
 from .errors import DomainError, InfeasibleError, UsageError
@@ -246,8 +246,9 @@ def _schur_factor(H, G, w, Aeq):
     with w = t / nu, equilibrated by the symmetric diagonal scaling D that
     gives H unit diagonal, the w block -1 and each row of Aeq D unit norm.
     Keeping dnu as an unknown, rather than folding G^T diag(1/w) G into H,
-    keeps a slack near 0 from swamping H.  Returns (LU, D); the predictor
-    and the corrector both solve with them."""
+    keeps a slack near 0 from swamping H.  Returns (LU, D), which the
+    predictor and the corrector both solve with, or None when a pivot is
+    exactly zero (the system is singular, as on a flat optimum)."""
     n, k, m = H.shape[0], len(w), Aeq.shape[0]
     D = np.empty(n + k + m)
     D[:n] = 1.0 / np.sqrt(np.maximum(np.diag(H), 1e-300))
@@ -260,7 +261,10 @@ def _schur_factor(H, G, w, Aeq):
     K[n:n + k, n:n + k] = -np.diag(w)
     K[:n, n + k:] = Aeq.T
     K[n + k:, :n] = Aeq
-    return lu_factor(D[:, None] * K * D, check_finite=False), D
+    K = D[:, None] * K * D
+    getrf, = get_lapack_funcs(("getrf",), (K,))
+    lu, piv, info = getrf(K, overwrite_a=True)
+    return ((lu, piv), D) if info == 0 else None
 
 
 def _path(objective, F, Aeq, b, G, g, y, lam, nu, aim):
@@ -283,8 +287,9 @@ def _path(objective, F, Aeq, b, G, g, y, lam, nu, aim):
     moves with y, so Z is an iterate of its own and the Newton step also
     removes the dual residual Aeq^T lam + G^T nu - c - F*(Z), whose next
     value is second order in the step; the caller stops that path on its
-    own certified gap.  Either path also ends when a step collapses or
-    after 50 steps.
+    own certified gap.  Either path also ends when a step collapses, when
+    the Newton system is singular (a curved path that wanders along a flat
+    optimum gets there), or after 50 steps.
 
     Each step is the HKM direction (Helmberg, Rendl, Vanderbei & Wolkowicz
     1996) with Mehrotra's predictor-corrector.  With the whitened
@@ -325,7 +330,10 @@ def _path(objective, F, Aeq, b, G, g, y, lam, nu, aim):
         M_inv = LM_inv.conj().T @ LM_inv
         P = (LM_inv @ F @ LZ).reshape(n, d * d).view(np.float64)
         H = P @ P.T if Hc is None else P @ P.T + Hc
-        K_lu, D = _schur_factor(H, G, t / nu, Aeq)
+        factored = _schur_factor(H, G, t / nu, Aeq)
+        if factored is None:
+            return  # the Newton system is singular: no direction to take
+        K_lu, D = factored
         r = np.concatenate([c - Aeq.T @ lam - G.T @ nu, t, b - Aeq @ y])
         if Hc is not None:  # Z lags the gradient, which moved with y
             Rd = dual_matrix(Aeq.T @ lam + G.T @ nu - c) - Z
@@ -355,7 +363,7 @@ def _path(objective, F, Aeq, b, G, g, y, lam, nu, aim):
         dy, dlam, dnu, dZ, _, _, a_p, a_d = direction(
             sigma * mu * eye - dM @ dZ, sigma * mu - dt * dnu)
         if max(a_p, a_d) < 1e-12 or not np.isfinite(dy).all():
-            return  # the step collapsed, or the Newton system went singular
+            return  # the step collapsed, or the Newton system is near singular
         y = y + a_p * dy
         lam, nu, Z = lam + a_d * dlam, nu + a_d * dnu, Z + a_d * dZ
         c, Hc = objective(y)
@@ -589,6 +597,10 @@ class MaximizeResult:
     sigma: np.ndarray
     iterations: int
     stop: str  # "converged", "sdp_floor", "max_outer" or "stalled"
+    # sequential_linearization's final Frank-Wolfe atoms (on the set's face)
+    # and their weights, which can start another maximization on that set
+    atoms: list | None = None
+    weights: np.ndarray | None = None
 
     @property
     def gap(self) -> float:
@@ -629,6 +641,7 @@ def sequential_linearization(
     tol: float = 1e-8,
     max_outer: int = 50,
     sdp_gap_tol: float = 1e-7,
+    start: tuple[list, np.ndarray] | None = None,
 ) -> MaximizeResult:
     """Maximize a concave objective(sigma) -> (value, gradient) over an SDP
     feasible set by outer linearization with fully-corrective Frank-Wolfe.
@@ -640,8 +653,12 @@ def sequential_linearization(
     By concavity every linearization gives a certified upper bound
     f* <= f(s_k) + max_feasible Tr[G_k (s - s_k)], evaluated with the SDP
     dual bound; the reported upper bound is the running minimum.  The atoms
-    start at the set's phase-one point, and iterates are kept strictly
-    positive by mixing in 1e-9 (trace/d) I.
+    start at the set's phase-one point, or at `start`, the (atoms, weights)
+    of an earlier result on this same set, such as a neighbouring Renyi
+    order's; the bound holds from any start (Jaggi 2013), so a start changes
+    only how many iterations run.  Atoms whose dimension is not the face's
+    raise UsageError.  Iterates are kept strictly positive by mixing in
+    1e-9 (trace/d) I.
 
     Each bound is f(s_k) + (primal - Tr[G_k s_k]) + gap, with primal and gap
     those of the SDP certificate.  Further iterations can shrink only the
@@ -663,8 +680,13 @@ def sequential_linearization(
     fs = red
     mix = 1e-9
     eye = np.eye(fs.dim, dtype=complex) * (fs.trace / fs.dim)
-    atoms = [fs.interior_point[0]]
-    weights = np.array([1.0])
+    if start is None:
+        atoms, weights = [fs.interior_point[0]], np.array([1.0])
+    else:
+        atoms, weights = list(start[0]), np.asarray(start[1], dtype=float)
+        if len(atoms) != len(weights) or any(np.shape(a) != (fs.dim, fs.dim) for a in atoms):
+            raise UsageError(f"a start needs one weight per atom and each atom on the "
+                             f"set's {fs.dim}-dimensional face")
     upper = math.inf
     best_val = -math.inf
     best_sigma = atoms[0]
@@ -689,7 +711,7 @@ def sequential_linearization(
     if on_face:
         best_sigma = V @ best_sigma @ V.conj().T
     return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma,
-                          iterations=it, stop=stop)
+                          iterations=it, stop=stop, atoms=atoms, weights=weights)
 
 
 def maximize_on_path(objective, fs: FeasibleSet, gap_tol: float = 1e-7) -> MaximizeResult:

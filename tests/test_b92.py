@@ -613,7 +613,9 @@ def test_asymptotic_face_is_reduced_once(monkeypatch):
 
 def test_universal_point_work_budget(monkeypatch):
     # the benchmark's universal point: each R* maximization stops once only
-    # the SDP certificate's own gap is left, long before max_outer
+    # the SDP certificate's own gap is left, long before max_outer, and each
+    # order after the first starts from its nearest evaluated neighbour's
+    # atoms (measured: 21 SDP solves; 31 when every order starts cold)
     cfg = B92Config(n_tot=10**10, seed=1)
     budget = secrecy_budget(cfg, "universal")
     stats = sample_observed(cfg, 0.005, budget.log2_eps1, np.random.default_rng([1, 0]))
@@ -635,7 +637,7 @@ def test_universal_point_work_budget(monkeypatch):
     universal_key_length(cfg, stats, budget,
                          rho_expected=depolarized_state(cfg, 0.005))
     assert len(stops) <= 12 and "max_outer" not in stops
-    assert len(solves) <= 150
+    assert len(solves) <= 24
 
 
 def test_conventional_point_work_budget(monkeypatch):

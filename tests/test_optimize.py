@@ -467,8 +467,11 @@ BELL = [np.array(v) / math.sqrt(2.0)
 KNOWN_FEASIBLE = sum(w * np.outer(v, v) for w, v in zip((0.75, 0.15, 0.05, 0.05), BELL))
 
 
-def _renyi_4(s):
-    return renyi_objective_and_gradient(s, 0.3, KEY_PINCH_4, 1.0)
+def _renyi_4_at(alpha):
+    return lambda s: renyi_objective_and_gradient(s, alpha, KEY_PINCH_4, 1.0)
+
+
+_renyi_4 = _renyi_4_at(0.3)
 
 
 def _acceptance_4():
@@ -513,6 +516,30 @@ def test_stop_reports_max_outer():
     res = sequential_linearization(_renyi_4, _acceptance_4(), max_outer=1)
     assert res.stop == "max_outer" and res.iterations == 1
     assert res.gap > 1e-2  # the phase-one point is far from the maximum
+
+
+@pytest.mark.parametrize("first,second", [(0.3, 0.25), (0.3, 0.35), (0.1, 0.3)])
+def test_warm_start_from_a_neighbouring_order(first, second):
+    # the alpha search seeds each order with a neighbouring order's atoms:
+    # the bracket stays certified against a tight cold solve, and the start
+    # saves outer iterations
+    fs = _acceptance_4()
+    seed = sequential_linearization(_renyi_4_at(first), fs)
+    warm = sequential_linearization(_renyi_4_at(second), fs, start=(seed.atoms, seed.weights))
+    cold = sequential_linearization(_renyi_4_at(second), fs)
+    tight = sequential_linearization(_renyi_4_at(second), fs, tol=1e-10, sdp_gap_tol=1e-10)
+    assert warm.upper_bound >= tight.value
+    assert warm.value <= tight.upper_bound
+    assert warm.iterations < cold.iterations
+    assert len(warm.atoms) == len(warm.weights) and abs(warm.weights.sum() - 1.0) <= 1e-12
+
+
+def test_warm_start_rejects_atoms_off_the_face():
+    with pytest.raises(UsageError):
+        sequential_linearization(_renyi_4, _acceptance_4(), start=([np.eye(2) / 2], np.ones(1)))
+    atoms = [_acceptance_4().interior_point[0]]
+    with pytest.raises(UsageError):
+        sequential_linearization(_renyi_4, _acceptance_4(), start=(atoms, np.ones(2) / 2))
 
 
 def test_pinch_is_projection():
