@@ -44,8 +44,6 @@ from .optimize import (
     von_neumann_objective_and_gradient,
 )
 
-TWO = 2
-
 
 def _xket(a: int) -> np.ndarray:
     return np.array([1.0, -1.0 if a else 1.0], dtype=complex) / math.sqrt(2.0)
@@ -99,11 +97,11 @@ class PovmSet:
     M_bitph: np.ndarray
     M_minus: np.ndarray
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         for name in ("M_fil", "M_bit", "M_ph", "M_bitph", "M_minus"):
             M = getattr(self, name)
             lam = herm_eig(M)[0]
-            if lam.min() < -tol or lam.max() > 1.0 + tol:
+            if lam.min() < -1e-10 or lam.max() > 1.0 + 1e-10:
                 raise DomainError(f"{name} violates 0 <= M <= I")
         for small, big in (
             (self.M_bit, self.M_fil),
@@ -111,7 +109,7 @@ class PovmSet:
             (self.M_bitph, self.M_bit),
             (self.M_bitph, self.M_ph),
         ):
-            if herm_eig(big - small)[0].min() < -tol:
+            if herm_eig(big - small)[0].min() < -1e-10:
                 raise DomainError("POVM ordering invariant violated")
 
 
@@ -401,9 +399,7 @@ def renyi_entropy_objective(cfg: B92Config, alpha: float):
     fmap, fadj = sf["filter_map"], sf["filter_adjoint"]
 
     def objective(rho):
-        val, grad_sigma = renyi_objective_and_gradient(
-            fmap(rho), alpha, _KEY_PINCH, 1.0
-        )
+        val, grad_sigma = renyi_objective_and_gradient(fmap(rho), alpha, _KEY_PINCH)
         return val, fadj(grad_sigma)
 
     return objective
@@ -783,7 +779,7 @@ def _vn_objective(cfg: B92Config, q_fil: float):
 
     def objective(rho):
         sigma = fmap(rho)
-        val, grad = von_neumann_objective_and_gradient(sigma, _KEY_PINCH, 1.0)
+        val, grad = von_neumann_objective_and_gradient(sigma, _KEY_PINCH)
         # H(X|A'B')_norm = 1 - D(sigma||P sigma)/Tr sigma and the vN objective
         # is 1 - D(sigma||P sigma); rescale both around the fixed trace
         d = 1.0 - val

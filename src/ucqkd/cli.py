@@ -54,6 +54,8 @@ def parse_eps(text: str) -> float:
         k = float(m.group(1))
         if k < -1074.0:
             raise UsageError(f"epsilon literal {text!r} underflows")
+        if k >= 0.0:
+            raise UsageError("epsilon must lie in (0,1)")
         return 2.0**k
     try:
         val = float(text)
@@ -339,10 +341,9 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
 
 
 def render_svg(curves: dict[str, list[tuple[float, float]]], xlabel: str,
-               ylabel: str, log_x: bool = True, width: int = 640,
-               height: int = 420) -> str:
-    """Minimal line chart: one polyline per named curve, optional log x."""
-    pad = 60
+               ylabel: str, log_x: bool = True) -> str:
+    """Minimal 640 x 420 line chart: one polyline per named curve, optional log x."""
+    width, height, pad = 640, 420, 60
     pts_all = [pt for pts in curves.values() for pt in pts]
     if not pts_all:
         raise UsageError("no data to plot")

@@ -105,7 +105,7 @@ def operator_division_on_support(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _divide(A, *_support_kernel(B))
 
 
-def operator_division_quadrature(A: np.ndarray, B: np.ndarray, rtol: float = 1e-11) -> np.ndarray:
+def operator_division_quadrature(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Adaptive quadrature of the defining integral (oracle for tests)."""
     from scipy.integrate import quad
 
@@ -116,8 +116,8 @@ def operator_division_quadrature(A: np.ndarray, B: np.ndarray, rtol: float = 1e-
     for i in range(d):
         for j in range(d):
             f = lambda t: At[i, j] / ((lam[i] + t) * (lam[j] + t))
-            re, _ = quad(lambda t: f(t).real, 0, np.inf, epsabs=1e-13, epsrel=rtol, limit=200)
-            im, _ = quad(lambda t: f(t).imag, 0, np.inf, epsabs=1e-13, epsrel=rtol, limit=200)
+            re, _ = quad(lambda t: f(t).real, 0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
+            im, _ = quad(lambda t: f(t).imag, 0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
             out[i, j] = re + 1j * im
     return U @ out @ U.conj().T
 
@@ -145,6 +145,12 @@ class CompressionExperiment:
             raise CapacityError("experiment exceeds the brute-force cap")
         if self.decoder_kind not in ("fully-universal", "partially-universal"):
             raise UsageError(f"unknown decoder kind {self.decoder_kind!r}")
+        if self.family not in ("all-surjective", "toeplitz"):
+            raise UsageError(f"unknown hash family {self.family!r}")
+        if self.family == "toeplitz" and self.trials < 2:
+            # one sample has no standard error, so the bound check in
+            # run_experiment would compare against a NaN margin
+            raise UsageError("a sampled Toeplitz family needs trials >= 2")
         if self.bins_log > self.n * math.log2(k) + 1e-12:
             raise UsageError("bins_log exceeds n log|X|")
 
@@ -292,22 +298,6 @@ def theorem_bound(exp: CompressionExperiment) -> ErrorReport:
         exponentCurve=curve,
         metadata={"rate_convention": RATE_NOTE, "overhead": overhead},
     )
-
-
-def comparison_exponents(source: CqSource, rate: float):
-    """(random-coding, sphere-packing) exponent reference formulas.
-
-    Random coding: max_{alpha in [0,1]} alpha (R - H^up_{1/(1+alpha)});
-    sphere packing: the same expression with alpha >= 0 unbounded (grid to 50).
-    """
-    def expo(a):
-        return a * (rate - conditional_renyi_sibson(source, 1.0 / (1.0 + a)))
-
-    grid01 = np.linspace(1e-6, 1.0, 200)
-    rc = max(expo(a) for a in grid01)
-    grid_sp = np.concatenate([grid01, np.geomspace(1.0, 50.0, 200)])
-    sp = max(expo(a) for a in grid_sp)
-    return float(rc), float(sp)
 
 
 def run_experiment(exp: CompressionExperiment) -> ErrorReport:

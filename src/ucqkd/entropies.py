@@ -1,11 +1,11 @@
 """Scalar information-theoretic kernels.
 
-Rényi divergence, conditional Rényi entropy (the Sibson closed form, and a
-certified bracket on the same maximum from the shared maximizer
-`optimize.sequential_linearization`), von Neumann conditional entropy,
-relative entropy variance, the binary relative entropy with its
-concentration-bound root-finders delta_1 / delta_2 / r_err, and the
-i.i.d.-reduction factor f_q.
+Conditional Rényi entropy (the Sibson closed form, and a certified bracket
+on the same maximum from the shared maximizer
+`optimize.sequential_linearization`), von Neumann entropy, relative entropy
+variance, the binary relative entropy with its concentration-bound
+root-finders delta_1 / delta_2 / r_err, and log2 of the i.i.d.-reduction
+factor f_q.
 
 All logarithms are base 2; every entropy is in bits.  alpha = 1 is always
 handled by the dedicated von Neumann path, never by a limiting formula.
@@ -28,7 +28,6 @@ from .matfun import (
     herm_eig,
     mlog2,
     mpow,
-    partial_trace,
 )
 from .optimize import FeasibleSet, MaximizeResult, sequential_linearization
 
@@ -58,43 +57,10 @@ class CqSource:
         """Subnormalized blocks p(x) rho_B^x."""
         return [p * np.asarray(s, dtype=complex) for p, s in zip(self.probs, self.states)]
 
-    def cq_state(self) -> np.ndarray:
-        """Block-diagonal rho_XB with X as the outer classical index."""
-        d = self.dim
-        k = len(self.states)
-        out = np.zeros((k * d, k * d), dtype=complex)
-        for x, blk in enumerate(self.blocks()):
-            out[x * d : (x + 1) * d, x * d : (x + 1) * d] = blk
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Rényi and von Neumann quantities
 # ---------------------------------------------------------------------------
-
-
-def renyi_divergence(rho: np.ndarray, sigma: np.ndarray, alpha: float) -> float:
-    """D_alpha(rho||sigma) in bits; +inf if alpha > 1 and supp rho !<= supp sigma."""
-    if alpha == 1 or alpha < 0:
-        raise UsageError(f"alpha must be in [0,1) or (1,inf), got {alpha}")
-    rho = check_hermitian(rho, what="rho")
-    sigma = check_hermitian(sigma, what="sigma")
-    if alpha > 1:
-        lam_s, U = herm_eig(sigma)
-        kernel = U[:, lam_s <= 1e-10]
-        if kernel.shape[1] and np.linalg.norm(kernel.conj().T @ rho @ kernel) > 1e-10:
-            return math.inf
-    val = np.trace(mpow(rho, alpha) @ mpow(sigma, 1.0 - alpha)).real
-    return math.log2(max(val, 1e-300)) / (alpha - 1.0)
-
-
-def quantum_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """D(rho||sigma) in bits; +inf on support violation."""
-    lam_s, U = herm_eig(sigma)
-    kernel = U[:, lam_s <= 1e-10]
-    if kernel.shape[1] and np.linalg.norm(kernel.conj().T @ rho @ kernel) > 1e-10:
-        return math.inf
-    return float(np.trace(rho @ (mlog2(rho) - mlog2(sigma))).real)
 
 
 def _sibson_from_blocks(blocks, alpha: float) -> float:
@@ -158,12 +124,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(check_hermitian(rho, what="state"))
     lam = lam[lam > EIG_CLAMP]
     return float(-np.sum(lam * np.log2(lam)))
-
-
-def von_neumann_conditional(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
-    """H(A|B) = H(AB) - H(B) in bits."""
-    rho_b = partial_trace(rho_ab, dims, keep=[1])
-    return von_neumann_entropy(rho_ab) - von_neumann_entropy(rho_b)
 
 
 def relative_entropy_variance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -306,10 +266,6 @@ def log2_fq_factor(n: int, d: int) -> float:
     log_denom_ln = 0.5 * (math.log(2 * math.pi) + d * (math.log(d) - 2.0))
     log_denom_ln += sum(gammaln(i + 1) for i in range(d))
     return num - log_denom_ln * log2e
-
-
-def fq_factor(n: int, d: int) -> float:
-    return 2.0 ** log2_fq_factor(n, d)
 
 
 def binary_entropy(p: float) -> float:

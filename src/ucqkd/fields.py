@@ -18,9 +18,6 @@ Conventions:
   ``<a, b> = sum_i a_i b_i`` (no field-trace twist on each slot; the trace
   enters only through ``chi``), so that
   ``Z(b) X(a) = chi(<a, b>) X(a) Z(b)``.
-* basis relabeling       ``U(C)|z> = |z C^{-T}>`` for invertible ``C``,
-  which gives ``U(C)^† X(a) U(C) = X(a C^T)`` and
-  ``U(C)^† Z(b) U(C) = Z(b C^{-1})``.
 """
 
 from __future__ import annotations
@@ -131,17 +128,6 @@ class GaloisField:
             raise DomainError("division by zero field element")
         return int(self.inv_table[a])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out = 1
-        while e:
-            if e & 1:
-                out = int(self.mul_table[out, a])
-            a = int(self.mul_table[a, a])
-            e >>= 1
-        return out
-
     def trace(self, a: int) -> int:
         """Field trace to F_p, as an integer in [0, p)."""
         return int(self.trace_table[a])
@@ -236,13 +222,6 @@ class GaloisField:
 
     # -- vector <-> basis-state index ----------------------------------------
 
-    def vector_index(self, z) -> int:
-        """Basis-state index of the qudit string z (leftmost digit = slot 0)."""
-        idx = 0
-        for c in np.asarray(z).ravel():
-            idx = idx * self.q + int(c)
-        return idx
-
     def vector_indices(self, Z):
         """Basis-state index of each row of the string matrix Z."""
         Z = np.asarray(Z, dtype=np.int64)
@@ -272,7 +251,7 @@ def field(p: int, r: int) -> GaloisField:
 
 
 # ---------------------------------------------------------------------------
-# Weyl operators, mutually unbiased basis, relabeling unitaries
+# Weyl operators, mutually unbiased basis, string-map unitaries
 # ---------------------------------------------------------------------------
 
 
@@ -301,27 +280,10 @@ def weyl_z(field: GaloisField, b) -> np.ndarray:
     return np.diag(field.character(dots))
 
 
-def mub_vector(field: GaloisField, c: int) -> np.ndarray:
-    """Conjugate-basis vector |c~> = q^{-1/2} sum_{c'} chi(-c c') |c'>."""
-    return mub_basis(field)[:, c]
-
-
 def mub_basis(field: GaloisField) -> np.ndarray:
-    """Columns are the conjugate-basis vectors |c~>, c = 0..q-1."""
+    """Columns are the conjugate-basis vectors
+    |c~> = q^{-1/2} sum_{c'} chi(-c c') |c'>, c = 0..q-1."""
     return field.character(field.neg_table[field.mul_table]) / np.sqrt(field.q)
-
-
-def relabeling_unitary(field: GaloisField, C) -> np.ndarray:
-    """Permutation unitary U(C)|z> = |z C^{-T}> for invertible C over the field.
-
-    Satisfies U^† X(a) U = X(a C^T) and U^† Z(b) U = Z(b C^{-1}).
-    """
-    C = np.asarray(C, dtype=np.int64)
-    n = C.shape[0]
-    if C.shape != (n, n):
-        raise UsageError("relabeling matrix must be square")
-    M = field.mat_inv(C).T  # z -> z C^{-T}, i.e. row-vector times M
-    return _string_map_unitary(field, M, n_in=n, n_out=n)
 
 
 def _string_map_unitary(field: GaloisField, M, n_in: int, n_out: int) -> np.ndarray:

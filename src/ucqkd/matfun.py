@@ -12,13 +12,12 @@ import numpy as np
 from .errors import InvariantError
 
 EIG_CLAMP = 1e-14
-SUPPORT_CUTOFF = 1e-10
 
 
-def check_hermitian(A: np.ndarray, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
+def check_hermitian(A: np.ndarray, what: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if np.abs(A - A.conj().T).max() > tol:
-        raise InvariantError(f"{what} is not Hermitian within {tol}")
+    if np.abs(A - A.conj().T).max() > 1e-12:
+        raise InvariantError(f"{what} is not Hermitian within 1e-12")
     return 0.5 * (A + A.conj().T)
 
 
@@ -29,42 +28,36 @@ def herm_eig(A: np.ndarray):
     return np.linalg.eigh(0.5 * (A + A.conj().T))
 
 
-def mpow(A: np.ndarray, p: float, clamp: float = EIG_CLAMP) -> np.ndarray:
-    """A**p for Hermitian PSD A, clamping eigenvalues below `clamp` to 0.
+def mpow(A: np.ndarray, p: float) -> np.ndarray:
+    """A**p for Hermitian PSD A, clamping eigenvalues below EIG_CLAMP to 0.
 
     Negative powers act as pseudo-inverse powers on the support.
     """
     lam, U = herm_eig(A)
-    lam = np.where(lam < clamp, 0.0, lam)
+    lam = np.where(lam < EIG_CLAMP, 0.0, lam)
     with np.errstate(divide="ignore"):
         vals = np.where(lam > 0, lam**p, 0.0)
     return (U * vals) @ U.conj().T
 
 
-def mlog2(A: np.ndarray, clamp: float = EIG_CLAMP) -> np.ndarray:
+def mlog2(A: np.ndarray) -> np.ndarray:
     """log2 of Hermitian PSD A on its support (0 log set to 0 off-support)."""
     lam, U = herm_eig(A)
-    vals = np.where(lam > clamp, np.log2(np.maximum(lam, clamp)), 0.0)
+    vals = np.where(lam > EIG_CLAMP, np.log2(np.maximum(lam, EIG_CLAMP)), 0.0)
     return (U * vals) @ U.conj().T
 
 
-def support_projector(A: np.ndarray, cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    lam, U = herm_eig(A)
-    vals = (lam > cutoff).astype(float)
-    return (U * vals) @ U.conj().T
-
-
-def divided_difference_matrix(f, fprime, lam: np.ndarray, degen_tol: float = 1e-8) -> np.ndarray:
+def divided_difference_matrix(f, fprime, lam: np.ndarray) -> np.ndarray:
     """First divided-difference matrix f^[1] on the eigenvalue list lam.
 
-    Off-diagonal entries (f(a)-f(b))/(a-b); entries with |a-b| < degen_tol,
+    Off-diagonal entries (f(a)-f(b))/(a-b); entries with |a-b| < 1e-8,
     and the diagonal, use f' at the midpoint (the stable limit branch).
     """
     lam = np.asarray(lam, dtype=float)
     a = lam[:, None]
     b = lam[None, :]
     diff = a - b
-    close = np.abs(diff) < degen_tol
+    close = np.abs(diff) < 1e-8
     safe = np.where(close, 1.0, diff)
     out = (f(a) - f(b)) / safe
     mid = fprime((a + b) / 2.0)

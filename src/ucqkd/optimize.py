@@ -520,16 +520,15 @@ def renyi_objective_and_gradient(
     sigma: np.ndarray,
     alpha: float,
     projectors: list[np.ndarray],
-    log_alphabet: float,
 ) -> tuple[float, np.ndarray]:
     """Concave reformulation of the order-(1-alpha) conditional Renyi entropy
     of the pinching outcome given the quantum system,
 
         f(sigma) = log|X| + ((1-a)/a) log2 Tr[(P(sigma^{1-a}))^{1/(1-a)}],
 
-    for alpha in (0, 1), valid for subnormalized sigma >= 0.  Returns the
-    value in bits and the (Hermitian) gradient so that
-    f(sigma + D) ~= f(sigma) + Tr[grad D].
+    with |X| = len(projectors), the pinching's outcome count, for alpha in
+    (0, 1), valid for subnormalized sigma >= 0.  Returns the value in bits
+    and the (Hermitian) gradient so that f(sigma + D) ~= f(sigma) + Tr[grad D].
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError("alpha must lie strictly inside (0, 1)")
@@ -540,7 +539,7 @@ def renyi_objective_and_gradient(
     lamT, UT = herm_eig(T)
     lamT = np.clip(lamT, 1e-300, None)
     g = float(np.sum(lamT ** (1.0 / beta)))
-    value = log_alphabet + (beta / alpha) * math.log2(g)
+    value = math.log2(len(projectors)) + (beta / alpha) * math.log2(g)
     # dG = Tr[(1/beta) T^{1/beta - 1} P(d sigma^beta)]
     W = UT @ np.diag(lamT ** (1.0 / beta - 1.0)) @ UT.conj().T
     inner = pinch(W, projectors)  # pinching is self-adjoint
@@ -554,23 +553,22 @@ def renyi_objective_and_gradient(
     return value, 0.5 * (grad + grad.conj().T)
 
 
-def _floor_state(sigma: np.ndarray, floor: float = 1e-12) -> np.ndarray:
+def _floor_state(sigma: np.ndarray) -> np.ndarray:
     lam, U = herm_eig(sigma)
-    lam = np.clip(lam, floor, None)
+    lam = np.clip(lam, 1e-12, None)
     return U @ np.diag(lam) @ U.conj().T
 
 
 def von_neumann_objective_and_gradient(
     sigma: np.ndarray,
     projectors: list[np.ndarray],
-    log_alphabet: float,
 ) -> tuple[float, np.ndarray]:
     """alpha -> 0 limit of the Renyi objective:
 
         f(sigma) = log|X| - [H(P(sigma)) - H(sigma)]  (bits),
 
-    i.e. log|X| minus the pinching relative entropy; concave with gradient
-    P(log2 P(sigma)) - log2(sigma).
+    i.e. log|X| minus the pinching relative entropy, with |X| =
+    len(projectors); concave with gradient P(log2 P(sigma)) - log2(sigma).
     """
     s = _floor_state(sigma)
     Ps = _floor_state(pinch(s, projectors))
@@ -578,7 +576,7 @@ def von_neumann_objective_and_gradient(
     lam_p, U_p = herm_eig(Ps)
     H_s = float(-np.sum(lam_s * np.log2(lam_s)))
     H_p = float(-np.sum(lam_p * np.log2(lam_p)))
-    value = log_alphabet - (H_p - H_s)
+    value = math.log2(len(projectors)) - (H_p - H_s)
     log_s = U_s @ np.diag(np.log2(lam_s)) @ U_s.conj().T
     log_p = U_p @ np.diag(np.log2(lam_p)) @ U_p.conj().T
     grad = pinch(log_p, projectors) - log_s

@@ -203,9 +203,10 @@ def universal_symmetric_state(n: int, d: int) -> np.ndarray:
     return out
 
 
-def domination_factor(n: int, d: int, alphabet_size: int = 1) -> float:
-    """(n+1)^{(d+2)(d-1)|X|/2}: the i.i.d.-domination polynomial coefficient."""
-    return float(n + 1) ** ((d + 2) * (d - 1) * alphabet_size / 2.0)
+def domination_factor(n: int, d: int) -> float:
+    """(n+1)^{(d+2)(d-1)/2}: the coefficient with which sigma_{U,n}
+    dominates every i.i.d. state rho^{tensor n}."""
+    return float(n + 1) ** ((d + 2) * (d - 1) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,36 +219,6 @@ def type_of(x, alphabet_size: int) -> tuple[Fraction, ...]:
     x = list(x)
     n = len(x)
     return tuple(Fraction(x.count(a), n) for a in range(alphabet_size))
-
-
-def enumerate_types(n: int, alphabet_size: int) -> list[tuple[Fraction, ...]]:
-    """All empirical distributions of length-n strings over the alphabet."""
-    out = []
-    for counts in itertools.product(range(n + 1), repeat=alphabet_size - 1):
-        rest = n - sum(counts)
-        if rest >= 0:
-            out.append(
-                tuple(Fraction(c, n) for c in counts) + (Fraction(rest, n),)
-            )
-    return out
-
-
-def type_class_size(ptype: tuple[Fraction, ...], n: int) -> int:
-    """|T_P| = multinomial coefficient of the count vector n*P."""
-    counts = [int(p * n) for p in ptype]
-    if sum(counts) != n:
-        raise UsageError("type is not an n-type")
-    out = math.factorial(n)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
-def type_class(ptype: tuple[Fraction, ...], n: int):
-    """All strings of the given type (desk scale)."""
-    counts = [int(p * n) for p in ptype]
-    symbols = [a for a, c in enumerate(counts) for _ in range(c)]
-    return sorted(set(itertools.permutations(symbols)))
 
 
 def empirical_entropy(x, alphabet_size: int) -> float:

@@ -165,9 +165,10 @@ def test_budget_meets_target(analysis):
 def test_achieved_eps_log_space_oracle():
     # moderate arguments where the direct formula is representable
     l1, l2, s = -30.0, -40.0, 25.0
-    from ucqkd.entropies import fq_factor
+    from ucqkd.entropies import log2_fq_factor
 
-    direct = math.sqrt(2 * (2.0**l1 + 4 * 2.0**l2 * fq_factor(10**6, 4) + 2.0**-s))
+    fq = 2.0 ** log2_fq_factor(10**6, 4)
+    direct = math.sqrt(2 * (2.0**l1 + 4 * 2.0**l2 * fq + 2.0**-s))
     assert abs(achieved_eps_sec(l1, l2, 10**6, s) - direct) <= 1e-12 * direct
 
 

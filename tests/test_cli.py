@@ -29,7 +29,7 @@ def test_parse_eps_power_of_two_exact():
 
 
 def test_parse_eps_rejects_bad_literals():
-    for bad in ("abc", "2^-2000", "1.5", "0", "-0.1"):
+    for bad in ("abc", "2^-2000", "1.5", "0", "-0.1", "2^0", "2^5"):
         with pytest.raises(UsageError):
             parse_eps(bad)
 
@@ -189,6 +189,12 @@ def test_keyrate_infeasible_row_is_flagged(tmp_path):
 def test_keyrate_rejects_bad_grid():
     assert main(["keyrate", "--depol", "1.5", "--ntot", "1e6"]) == 64
     assert main(["keyrate", "--ntot", "1e6"]) == 64  # no depol given
+
+
+def test_keyrate_rejects_eps_power_of_two_outside_unit_interval():
+    assert main(["keyrate", "--depol", "0.01", "--ntot", "1e9",
+                 "--analysis", "conventional", "--eps-sec", "2^5",
+                 "--jobs", "1"]) == 64
 
 
 def test_keyrate_asymptotic_ordering(tmp_path):

@@ -15,7 +15,6 @@ from ucqkd.compression import (
     _prime_power,
     _product_state,
     build_decoder_povm,
-    comparison_exponents,
     exact_error_probability,
     operator_division,
     operator_division_on_support,
@@ -28,8 +27,10 @@ from ucqkd.entropies import CqSource
 from ucqkd.errors import CapacityError, InvariantError, UsageError
 from ucqkd.fields import field
 from ucqkd.hashing import enumerate_surjective_family, hash_apply
-from ucqkd.matfun import herm_eig, random_density, support_projector
+from ucqkd.matfun import herm_eig, random_density
 from ucqkd.schur_weyl import sigma_for_string
+
+from oracles import support_projector
 
 
 def _random_source(rng, k=2, d=2, full_rank=True):
@@ -198,7 +199,8 @@ def _member_by_member_error(exp):
     for H in members:
         bins = {}
         for x in strings:
-            bins.setdefault(gf.vector_index(hash_apply(gf, H, x)), []).append(x)
+            b = int(gf.vector_indices([hash_apply(gf, H, x)])[0])
+            bins.setdefault(b, []).append(x)
         err = 0.0
         for pre in bins.values():
             denom = sum(weights[y] * sigmas[y] for y in pre)
@@ -313,19 +315,6 @@ def test_bound_decreases_with_more_bins():
     assert all(x >= y - 1e-12 for x, y in zip(bounds, bounds[1:]))
 
 
-def test_comparison_exponents_sign():
-    # above H(X|B) the exponent is positive, below it is zero/negative
-    rng = np.random.default_rng(8)
-    src = _random_source(rng)
-    from ucqkd.entropies import von_neumann_conditional
-
-    hxb = von_neumann_conditional(src.cq_state(), (2, src.dim))
-    rc_hi, sp_hi = comparison_exponents(src, min(1.0, hxb + 0.3))
-    rc_lo, sp_lo = comparison_exponents(src, max(0.0, hxb - 0.3))
-    assert rc_hi >= rc_lo - 1e-9
-    assert sp_hi >= rc_hi - 1e-9  # sphere packing dominates random coding
-
-
 def test_capacity_and_usage_errors():
     rng = np.random.default_rng(9)
     src = _random_source(rng)
@@ -342,6 +331,20 @@ def test_capacity_and_usage_errors():
     with pytest.raises(UsageError):
         CompressionExperiment(
             source=src, n=2, bins_log=1.0, decoder_kind="bogus", hash_dits=1,
+        )
+
+
+@pytest.mark.parametrize("family,trials", [
+    ("Toeplitz", 200),  # any name but the two families used to sample Toeplitz
+    ("toeplitz", 1),  # stdError NaN: the bound check would always pass
+    ("toeplitz", 0),  # exactPerr NaN
+])
+def test_unknown_family_or_too_few_toeplitz_trials_rejected(family, trials):
+    src = _random_source(np.random.default_rng(3))
+    with pytest.raises(UsageError):
+        CompressionExperiment(
+            source=src, n=3, bins_log=1.0, decoder_kind="fully-universal",
+            hash_dits=1, family=family, trials=trials, seed=3,
         )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ucqkd.errors import UsageError
-from ucqkd.fields import field, mub_vector
+from ucqkd.fields import field, mub_basis
 from ucqkd.hashing import (
     build_dual_quadruple,
     enumerate_surjective_family,
@@ -106,14 +106,14 @@ def test_dual_quadruple_rejects_rank_deficient():
 def _z_ket(gf, z):
     dim = gf.q ** len(z)
     v = np.zeros(dim, dtype=complex)
-    v[gf.vector_index(z)] = 1.0
+    v[gf.vector_indices([z])[0]] = 1.0
     return v
 
 
 def _x_ket(gf, x):
     out = np.array([1.0 + 0j])
     for c in x:
-        out = np.kron(out, mub_vector(gf, int(c)))
+        out = np.kron(out, mub_basis(gf)[:, c])
     return out
 
 

@@ -14,8 +14,9 @@ from ucqkd.matfun import (
     mpow,
     partial_trace,
     random_density,
-    support_projector,
 )
+
+from oracles import support_projector
 
 
 def _rand_herm(d, rng):

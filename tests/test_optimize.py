@@ -270,7 +270,7 @@ def test_phase_one_runs_once_per_set(monkeypatch):
     solve_linear_sdp(X2, fs)
     solve_linear_sdp(np.diag([0.0, 1.0]), fs)
     sequential_linearization(
-        lambda s: renyi_objective_and_gradient(s, 0.3, KEY_PINCH, 1.0), fs, max_outer=3
+        lambda s: renyi_objective_and_gradient(s, 0.3, KEY_PINCH), fs, max_outer=3
     )
     _min_divergence(fs, _fixed_last(KEY_PINCH, 0.1), np.array([1.0, 0.0]), 0.9, 0.1)
     assert runs == [fs]
@@ -374,11 +374,11 @@ def test_renyi_objective_gradient_finite_differences():
     for alpha in (0.2, 0.38, 0.6):
         for _ in range(5):
             sigma = random_density(2, rng) + 0.05 * np.eye(2)
-            val, grad = renyi_objective_and_gradient(sigma, alpha, KEY_PINCH, 1.0)
+            val, grad = renyi_objective_and_gradient(sigma, alpha, KEY_PINCH)
             D = _rand_herm(2, rng)
             h = 1e-6
-            up, _ = renyi_objective_and_gradient(sigma + h * D, alpha, KEY_PINCH, 1.0)
-            dn, _ = renyi_objective_and_gradient(sigma - h * D, alpha, KEY_PINCH, 1.0)
+            up, _ = renyi_objective_and_gradient(sigma + h * D, alpha, KEY_PINCH)
+            dn, _ = renyi_objective_and_gradient(sigma - h * D, alpha, KEY_PINCH)
             fd = (up - dn) / (2 * h)
             direct = float(np.trace(grad @ D).real)
             assert abs(fd - direct) <= 1e-5 * max(1.0, abs(fd))
@@ -390,8 +390,8 @@ def test_objectives_concave_linearization():
         s1 = random_density(2, rng) + 0.02 * np.eye(2)
         s2 = random_density(2, rng) + 0.02 * np.eye(2)
         for obj in (
-            lambda s: renyi_objective_and_gradient(s, 0.3, KEY_PINCH, 1.0),
-            lambda s: von_neumann_objective_and_gradient(s, KEY_PINCH, 1.0),
+            lambda s: renyi_objective_and_gradient(s, 0.3, KEY_PINCH),
+            lambda s: von_neumann_objective_and_gradient(s, KEY_PINCH),
         ):
             v1, g1 = obj(s1)
             v2, _ = obj(s2)
@@ -399,12 +399,26 @@ def test_objectives_concave_linearization():
             assert v2 <= lin + 1e-8
 
 
+@pytest.mark.parametrize("outcomes", [2, 3, 4])
+def test_objectives_read_log_outcomes_at_maximally_mixed_state(outcomes):
+    # at I/d with equal-rank projectors both objectives reduce to log|X|,
+    # with |X| the number of pinching outcomes
+    d = 2 * outcomes
+    projectors = [np.diag(np.repeat(np.eye(outcomes)[i], 2)) for i in range(outcomes)]
+    sigma = np.eye(d) / d
+    for alpha in (0.1, 0.5, 0.9):
+        val, _ = renyi_objective_and_gradient(sigma, alpha, projectors)
+        assert abs(val - math.log2(outcomes)) <= 1e-12
+    val, _ = von_neumann_objective_and_gradient(sigma, projectors)
+    assert abs(val - math.log2(outcomes)) <= 1e-12
+
+
 def test_sequential_linearization_entropy_maximum():
     """Oracle: the pinching relative entropy objective log|X| - D(s||P(s)) is
     maximized (value log|X|) by any pinching-invariant state."""
 
     def obj(s):
-        return von_neumann_objective_and_gradient(s, KEY_PINCH, 1.0)
+        return von_neumann_objective_and_gradient(s, KEY_PINCH)
 
     res = sequential_linearization(obj, FeasibleSet(dim=2), tol=1e-9)
     assert abs(res.value - 1.0) <= 1e-7
@@ -429,7 +443,7 @@ def test_sequential_linearization_scipy_cross_check():
     ub = 0.4
 
     def obj(s):
-        return renyi_objective_and_gradient(s, 0.4, KEY_PINCH, 1.0)
+        return renyi_objective_and_gradient(s, 0.4, KEY_PINCH)
 
     def rho_of(r):
         out = 0.5 * np.eye(2, dtype=complex)
@@ -468,7 +482,7 @@ KNOWN_FEASIBLE = sum(w * np.outer(v, v) for w, v in zip((0.75, 0.15, 0.05, 0.05)
 
 
 def _renyi_4_at(alpha):
-    return lambda s: renyi_objective_and_gradient(s, alpha, KEY_PINCH_4, 1.0)
+    return lambda s: renyi_objective_and_gradient(s, alpha, KEY_PINCH_4)
 
 
 _renyi_4 = _renyi_4_at(0.3)
@@ -659,7 +673,7 @@ def test_fcfw_step_weight_gradient_renyi(monkeypatch):
     seen = _weight_solves(monkeypatch)
 
     def obj(s):
-        return renyi_objective_and_gradient(s, 0.3, KEY_PINCH, 1.0)
+        return renyi_objective_and_gradient(s, 0.3, KEY_PINCH)
 
     atoms = [random_density(2, rng) + 0.05 * np.eye(2) for _ in range(3)]
     atoms, weights = _fcfw_step(obj, atoms, np.full(3, 1.0 / 3.0),
@@ -695,4 +709,4 @@ def test_fcfw_step_weight_gradient_divergence(monkeypatch):
 
 def test_renyi_objective_rejects_bad_alpha():
     with pytest.raises(UsageError):
-        renyi_objective_and_gradient(np.eye(2) / 2, 1.5, KEY_PINCH, 1.0)
+        renyi_objective_and_gradient(np.eye(2) / 2, 1.5, KEY_PINCH)

@@ -15,14 +15,11 @@ from ucqkd.schur_weyl import (
     dim_unitary_irrep,
     domination_factor,
     empirical_entropy,
-    enumerate_types,
     enumerate_young,
     permutation_operator,
     sigma_for_string,
     sn_character,
     sorting_permutation,
-    type_class,
-    type_class_size,
     type_of,
     universal_symmetric_state,
 )
@@ -206,20 +203,6 @@ def test_universal_state_is_memoized_read_only():
     assert not sig.flags.writeable
     with pytest.raises(ValueError):
         sig[0, 0] = 0.0
-
-
-def test_types_and_classes():
-    n, k = 4, 2
-    types = enumerate_types(n, k)
-    assert len(types) == n + 1
-    total = 0
-    for t in types:
-        size = type_class_size(t, n)
-        members = list(type_class(t, n))
-        assert len(members) == size
-        assert all(type_of(x, k) == t for x in members)
-        total += size
-    assert total == k**n
 
 
 def test_empirical_entropy_matches_type():
