@@ -485,8 +485,7 @@ def _suite_entropies(check: _Check, quick: bool) -> None:
             closed = entropies.conditional_renyi_sibson(src, alpha)
             direct = entropies.conditional_renyi_direct(src, alpha)
             check(abs(closed - direct.upper_bound) <= 1e-6, "Sibson identity violated")
-        grid = [entropies.conditional_renyi_sibson(src, a)
-                for a in np.linspace(0.1, 0.9, 9)]
+        grid = entropies.conditional_renyi_sibson(src, np.linspace(0.1, 0.9, 9))
         check(all(x >= y - 1e-12 for x, y in zip(grid, grid[1:])),
               "Sibson entropy not non-increasing in alpha")
     # scalar root-finders: residuals and the p=0 closed form

@@ -19,13 +19,19 @@ log|B_n|/n; the log form is used here and the discrepancy is flagged in the
 report metadata.
 
 The exact error probability never builds a decoder element.  Every sigma_x
-and weight is real, so each bin's denominator has real eigenvectors U on its
-support and Y(x) = U (K o U^T w(x) sigma_x U) U^T is real symmetric; as
-Im rho_x is antisymmetric, Tr[rho_x Y(x)] is the entrywise sum of
-U^T Re(rho_x) U, the log kernel K and U^T w(x) sigma_x U: one real
-eigendecomposition and one batched contraction per bin.  A member's error
-depends only on how it partitions the strings into bins, so members with
-the same binning share one evaluation.
+and weight is real, so each bin's denominator has real eigenvectors U and
+Y(x) = U (K o U^T w(x) sigma_x U) U^T is real symmetric, with K the log
+kernel masked to the denominator's support; as Im rho_x is antisymmetric,
+Tr[rho_x Y(x)] is the entrywise sum of U^T Re(rho_x) U, K and
+U^T w(x) sigma_x U.  The simulation works on whole arrays: the stacks of
+w(x) sigma_x and Re rho_x are built once per experiment (Re rho_x by
+broadcasting the per-symbol states), one field-table pass hashes every
+string under a block of members (blocks of at most 2^18 member-strings keep
+the passes small for large families), and members with the same binning
+share one evaluation.  A full-rank hash splits the q^n strings into q^m bins of
+q^(n-m) strings each, so the q^m denominators of a partition are
+diagonalized in one call, followed by one batched contraction per bin.  The
+bound evaluates the Sibson entropy at every order of its grid in one call.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ RATE_NOTE = (
 
 
 def operator_division(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A/B = integral of (B+t)^-1 A (B+t)^-1 dt for strictly positive B.
+    """A/B = integral of (B+t)^-1 A (B+t)^-1 dt for strictly positive B
+    (smallest eigenvalue above 1e-12; DomainError otherwise).
 
     Closed form in the eigenbasis of B: entries A~_ij * g(b_i, b_j) with
     g(b, b') = (ln b - ln b')/(b - b') off-diagonal and 1/b on the diagonal.
@@ -61,15 +68,22 @@ def operator_division(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     lam, U = herm_eig(B)
     if lam.min() <= 1e-12:
         raise DomainError("operator division requires strictly positive B")
-    return _divide(A, U, _log_kernel(lam))
+    return _divide(A, U, _log_kernel(lam, 1e-12))
 
 
-def _log_kernel(lam: np.ndarray) -> np.ndarray:
-    a, b = lam[:, None], lam[None, :]
+def _log_kernel(lam: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+    """Divided differences of ln on the eigenvalues lam (or on each row of a
+    stack), masked to the support: entries whose row or column eigenvalue is
+    at most `floor` are 0, and no logarithm of such an eigenvalue is taken."""
+    keep = lam > floor
+    if not keep.any(axis=-1).all():
+        raise DomainError("operator division by the zero operator")
+    lam = np.where(keep, lam, 1.0)
+    a, b = lam[..., :, None], lam[..., None, :]
     diff = a - b
     close = np.abs(diff) < 1e-12 * np.maximum(a, b)
     g = (np.log(a) - np.log(b)) / np.where(close, 1.0, diff)
-    return np.where(close, 2.0 / (a + b), g)
+    return np.where(close, 2.0 / (a + b), g) * (keep[..., :, None] & keep[..., None, :])
 
 
 def _divide(A: np.ndarray, U: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -77,32 +91,26 @@ def _divide(A: np.ndarray, U: np.ndarray, K: np.ndarray) -> np.ndarray:
     return U @ (K * (U.conj().T @ A @ U)) @ U.conj().T
 
 
-def _bin_quotients(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support eigenvectors U of B = sum_x S[x] and the stack K o U^dag S[x] U,
-    the quotients S[x]/B in that eigenbasis."""
-    Us, K = _support_kernel(S.sum(axis=0))
-    return Us, K * (Us.conj().T @ S @ Us)
+def _partition_success(S: np.ndarray, R: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Tr[rho_x Y(x)] for every string, from the real stacks S[x] = w(x) sigma_x
+    and R[x] = Re rho_x, with the strings split into the equal-sized bins
+    listed as the rows of `bins`.
 
-
-def _bin_success(S: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Tr[rho_x Y(x)] for every string of one bin, from the real stacks
-    S[x] = w(x) sigma_x and R[x] = Re rho_x."""
-    Us, M = _bin_quotients(S)
-    return np.einsum("xij,xij->x", Us.T @ R @ Us, M)
-
-
-def _support_kernel(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvectors spanning the support of B and the log kernel on it."""
-    lam, U = herm_eig(B)
-    keep = lam > 1e-10
-    if not keep.any():
-        raise DomainError("operator division by the zero operator")
-    return U[:, keep], _log_kernel(lam[keep])
+    The bins' denominators are diagonalized in one call; each bin is then one
+    batched contraction of U^T R[x] U, the masked log kernel and U^T S[x] U.
+    """
+    lam, U = herm_eig(np.stack([S[pre].sum(axis=0) for pre in bins]))
+    K = _log_kernel(lam)
+    good = np.empty(len(S))
+    for pre, Ub, Kb in zip(bins, U, K):
+        good[pre] = np.einsum("xij,xij->x", Ub.T @ R[pre] @ Ub, Kb * (Ub.T @ S[pre] @ Ub))
+    return good
 
 
 def operator_division_on_support(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Division restricted to the support of B, extended by zero off-support."""
-    return _divide(A, *_support_kernel(B))
+    lam, U = herm_eig(B)
+    return _divide(A, U, _log_kernel(lam))
 
 
 def operator_division_quadrature(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -195,15 +203,33 @@ def build_decoder_povm(
     """
     if not pre:
         raise DomainError("empty hash preimage")
-    Us, M = _bin_quotients(np.stack([weights[x] * sigmas[x] for x in pre]))
-    return dict(zip(pre, Us @ M @ Us.conj().T))
+    S = np.stack([weights[x] * sigmas[x] for x in pre])
+    lam, U = herm_eig(S.sum(axis=0))
+    return dict(zip(pre, _divide(S, U, _log_kernel(lam))))
 
 
-def _product_state(source: CqSource, x: tuple) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for xi in x:
-        out = np.kron(out, np.asarray(source.states[xi], dtype=complex))
-    return out
+def _real_product_states(states, n: int) -> np.ndarray:
+    """Re(rho_{x_1} x...x rho_{x_n}) for every string x over the symbols of
+    `states`, in the order of GaloisField.strings(n).
+
+    The first n - 1 factors are complex Kronecker products of the whole
+    stack; the last is taken in real arithmetic, Re(P x Q) =
+    Re P x Re Q - Im P x Im Q, so no full-size complex stack is held.
+    """
+    Q = np.asarray(states, dtype=complex)
+    P = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n - 1):
+        P = _kron_stack(P, Q)
+    R = _kron_stack(P.real, Q.real)
+    R -= _kron_stack(P.imag, Q.imag)
+    return R
+
+
+def _kron_stack(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """np.kron(P[i], Q[s]) for every pair, at stack index i * len(Q) + s."""
+    (t, D, _), (k, d, _) = P.shape, Q.shape
+    out = P[:, None, :, None, :, None] * Q[None, :, None, :, None, :]
+    return out.reshape(t * k, D * d, D * d)
 
 
 def _hash_members(exp: CompressionExperiment, field: GaloisField):
@@ -213,6 +239,33 @@ def _hash_members(exp: CompressionExperiment, field: GaloisField):
     return [
         sample_toeplitz(field, exp.n, exp.hash_dits, rng) for _ in range(exp.trials)
     ], False
+
+
+# members x strings hashed per table pass: bounds the int64 arrays of one
+# pass to a few MB however large the family is
+_HASH_BLOCK = 1 << 18
+
+
+def _bin_owners(fld: GaloisField, X: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """owner[t, i]: the index of the first string of X in the bin of string i
+    under member t, for a stack of members in one table pass."""
+    keys = fld.vector_indices(fld.mat_mul(X, members))
+    first = np.full((len(members), fld.q ** members.shape[-1]), len(X))
+    rows = np.arange(len(members))[:, None]
+    np.minimum.at(first, (rows, keys), np.arange(len(X)))
+    return first[rows, keys]
+
+
+def _equal_bins(owner: np.ndarray, nbins: int) -> np.ndarray:
+    """The bins of one partition as rows of string indices, in order of their
+    first string.  A full-rank linear hash is surjective, so its nbins bins
+    all hold the same number of strings; anything else is an invariant
+    failure."""
+    size = len(owner) // nbins
+    counts = np.bincount(owner)
+    if np.count_nonzero(counts) != nbins or counts.max() != size:
+        raise InvariantError(f"a full-rank hash must split the strings into {nbins} equal bins")
+    return np.argsort(owner, kind="stable").reshape(nbins, size)
 
 
 def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
@@ -231,24 +284,25 @@ def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
     S = np.stack([weights[x] * sigma_for_string(x, exp.source.dim) for x in strings])
     if np.iscomplexobj(S):
         raise InvariantError("the decoder states sigma_x must be real symmetric")
-    R = np.stack([_product_state(exp.source, x).real for x in strings])
+    R = _real_product_states(exp.source.states, exp.n)
     pn = np.prod(np.asarray(exp.source.probs, dtype=float)[X], axis=1)
 
-    per_member = []
+    nbins = fld.q ** exp.hash_dits
     by_partition: dict[bytes, float] = {}
-    for H in members:
-        _, first, inverse = np.unique(fld.vector_indices(fld.mat_mul(X, H)),
-                                      return_index=True, return_inverse=True)
-        owner = first[inverse]  # each bin named by its first string
-        key = owner.tobytes()
-        if key not in by_partition:
-            order = np.argsort(owner, kind="stable")
-            good = np.empty(len(strings))
-            for pre in np.split(order, np.flatnonzero(np.diff(owner[order])) + 1):
-                good[pre] = _bin_success(S[pre], R[pre])
-            by_partition[key] = float(pn @ np.maximum(0.0, 1.0 - good))
-        per_member.append(by_partition[key])
-    vals = np.array(per_member)
+    vals = np.empty(len(members))
+    step = max(1, _HASH_BLOCK // len(X))
+    for start in range(0, len(members), step):
+        partitions, which = np.unique(
+            _bin_owners(fld, X, np.stack(members[start:start + step])),
+            axis=0, return_inverse=True)
+        perr = np.empty(len(partitions))
+        for i, owner in enumerate(partitions):
+            key = owner.tobytes()
+            if key not in by_partition:
+                good = _partition_success(S, R, _equal_bins(owner, nbins))
+                by_partition[key] = float(pn @ np.maximum(0.0, 1.0 - good))
+            perr[i] = by_partition[key]
+        vals[start:start + step] = perr[which.ravel()]
     mean = float(np.sum(vals) / len(vals))
     if exhaustive:
         return mean, 0.0
@@ -283,9 +337,9 @@ def theorem_bound(exp: CompressionExperiment) -> ErrorReport:
     d = exp.source.dim
     overhead = theorem_overhead(exp.decoder_kind, k, d)
     n = exp.n
+    h_all = conditional_renyi_sibson(exp.source, [1.0 - a for a in ALPHA_GRID])
     curve = []
-    for a in ALPHA_GRID:
-        h = conditional_renyi_sibson(exp.source, 1.0 - a)
+    for a, h in zip(ALPHA_GRID, h_all):
         expo = a * (
             exp.bins_log / n - h - overhead * math.log2(n + 1) / (2.0 * n)
         )
@@ -308,7 +362,7 @@ def run_experiment(exp: CompressionExperiment) -> ErrorReport:
     report.stdError = stderr
     margin = 3.0 * stderr
     if perr > report.boundPerr + margin + 1e-12:
-        raise CapacityError(
+        raise InvariantError(
             f"error-exponent bound violated: exact {perr} > bound {report.boundPerr}"
         )
     return report

@@ -24,6 +24,7 @@ from .errors import DomainError, InvariantError, UsageError
 from .matfun import (
     EIG_CLAMP,
     check_hermitian,
+    eig_pow,
     frechet_derivative,
     herm_eig,
     mlog2,
@@ -63,33 +64,41 @@ class CqSource:
 # ---------------------------------------------------------------------------
 
 
-def _sibson_from_blocks(blocks, alpha: float) -> float:
-    """-(a/(a-1)) log2 Tr[(sum_x A_x^a)^(1/a)] on (sub)normalized blocks A_x."""
-    s = sum(mpow(b, alpha) for b in blocks)
-    # log2 Tr[s^(1/a)] in log form: s^(1/a) overflows for small a
-    lam = herm_eig(s)[0]
-    lam = lam[lam >= EIG_CLAMP]
-    if lam.size == 0:
-        log2_tr = math.log2(1e-300)
-    else:
-        top = lam.max()
-        log2_tr = math.log2(top) / alpha + math.log2(float(np.sum((lam / top) ** (1.0 / alpha))))
-    return -(alpha / (alpha - 1.0)) * log2_tr
+def _sibson_from_blocks(blocks, alphas) -> np.ndarray:
+    """-(a/(a-1)) log2 Tr[(sum_x A_x^a)^(1/a)] on (sub)normalized blocks A_x,
+    for every order a of `alphas`; each block is diagonalized once."""
+    eigs = [herm_eig(b) for b in blocks]
+    s = np.stack([sum(eig_pow(lam, U, a) for lam, U in eigs) for a in alphas])
+    out = np.empty(len(alphas))
+    for i, (alpha, lam) in enumerate(zip(alphas, herm_eig(s)[0])):
+        # log2 Tr[s^(1/a)] in log form: s^(1/a) overflows for small a
+        lam = lam[lam >= EIG_CLAMP]
+        if lam.size == 0:
+            log2_tr = math.log2(1e-300)
+        else:
+            top = lam.max()
+            log2_tr = math.log2(top) / alpha + math.log2(float(np.sum((lam / top) ** (1.0 / alpha))))
+        out[i] = -(alpha / (alpha - 1.0)) * log2_tr
+    return out
 
 
-def conditional_renyi_sibson(source, alpha: float) -> float:
+def conditional_renyi_sibson(source, alpha):
     """H^up_alpha(X|B) of a cq source via the Sibson closed form.
 
     `source` may be a CqSource or an explicit list of (sub)normalized blocks
     A_x = p(x) rho_B^x; subnormalized input returns the value including the
     normalization offset (the formula is applied to the blocks as given).
+    `alpha` is one order (float result) or a sequence of orders (array of
+    results, bit for bit the one-order values).
     """
-    if not 0 < alpha < 1:
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    if not all(0 < a < 1 for a in alphas):
         raise UsageError(f"Sibson path requires alpha in (0,1), got {alpha}")
     blocks = source.blocks() if isinstance(source, CqSource) else list(source)
     if not blocks:
         raise UsageError("empty block list")
-    return _sibson_from_blocks(blocks, alpha)
+    values = _sibson_from_blocks(blocks, alphas)
+    return float(values[0]) if np.ndim(alpha) == 0 else values
 
 
 def conditional_renyi_direct(source, alpha: float) -> MaximizeResult:

@@ -140,15 +140,18 @@ class GaloisField:
     # Matrices are 2-D numpy int arrays of element indices.
 
     def mat_mul(self, A, B):
+        """Matrix product over the field; either factor may be a stack of
+        matrices (leading axes broadcast), so one call multiplies a string
+        matrix by a stack of hash-family members."""
         A = np.asarray(A)
         B = np.asarray(B)
-        n, k = A.shape
-        k2, m = B.shape
-        if k != k2:
+        k = A.shape[-1]
+        if A.ndim < 2 or B.ndim < 2 or B.shape[-2] != k:
             raise UsageError("matrix dimension mismatch")
-        out = np.zeros((n, m), dtype=np.int64)
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        out = np.zeros(shape + (A.shape[-2], B.shape[-1]), dtype=np.int64)
         for t in range(k):
-            out = self.add_table[out, self.mul_table[A[:, t, None], B[None, t, :]]]
+            out = self.add_table[out, self.mul_table[A[..., :, t, None], B[..., None, t, :]]]
         return out
 
     def _row_reduce(self, A):
@@ -223,9 +226,9 @@ class GaloisField:
     # -- vector <-> basis-state index ----------------------------------------
 
     def vector_indices(self, Z):
-        """Basis-state index of each row of the string matrix Z."""
+        """Basis-state index of each row of the string matrix (or stack) Z."""
         Z = np.asarray(Z, dtype=np.int64)
-        return Z @ self.q ** np.arange(Z.shape[1] - 1, -1, -1)
+        return Z @ self.q ** np.arange(Z.shape[-1] - 1, -1, -1)
 
     def strings(self, n: int):
         """(q**n x n) matrix whose row idx is index_vector(idx, n)."""

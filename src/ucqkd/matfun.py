@@ -22,10 +22,10 @@ def check_hermitian(A: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def herm_eig(A: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues); a real
-    symmetric A keeps real eigenvectors."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (ascending eigenvalues); a real symmetric A keeps real eigenvectors."""
     A = np.asarray(A)
-    return np.linalg.eigh(0.5 * (A + A.conj().T))
+    return np.linalg.eigh(0.5 * (A + A.conj().swapaxes(-1, -2)))
 
 
 def mpow(A: np.ndarray, p: float) -> np.ndarray:
@@ -33,7 +33,12 @@ def mpow(A: np.ndarray, p: float) -> np.ndarray:
 
     Negative powers act as pseudo-inverse powers on the support.
     """
-    lam, U = herm_eig(A)
+    return eig_pow(*herm_eig(A), p)
+
+
+def eig_pow(lam: np.ndarray, U: np.ndarray, p: float) -> np.ndarray:
+    """mpow on a given eigendecomposition (lam, U): U diag(lam**p) U^dag with
+    eigenvalues below EIG_CLAMP clamped to 0."""
     lam = np.where(lam < EIG_CLAMP, 0.0, lam)
     with np.errstate(divide="ignore"):
         vals = np.where(lam > 0, lam**p, 0.0)

@@ -248,16 +248,27 @@ def sigma_for_string(x, d: int) -> np.ndarray:
 
     m_1..m_k are the multiplicities of the distinct symbols of x in sorted
     order; commutes with every product state rho^x = tensor_i rho^{x_i} and
-    dominates it up to (n+1)^{(d+2)(d-1)|X|/2}.
+    dominates it up to (n+1)^{(d+2)(d-1)|X|/2}.  V_s is a permutation matrix,
+    so the conjugation is a gather of the core's rows and columns.
     """
     x = list(x)
     n = len(x)
     if d**n > MAX_TENSOR_DIM:
         raise CapacityError(f"tensor dimension {d**n} exceeds {MAX_TENSOR_DIM}")
-    mults = [len(list(g)) for _, g in itertools.groupby(sorted(x))]
+    mults = tuple(len(list(g)) for _, g in itertools.groupby(sorted(x)))
+    # V_s has its 1 in row r at column cols[r] (see permutation_operator), so
+    # (V^T core V)[a, b] = core[inv[a], inv[b]] with inv the inverse of cols
+    inv = np.arange(d**n).reshape([d] * n).transpose(sorting_permutation(x)).ravel()
+    return _sorted_core(mults, d)[np.ix_(inv, inv)]
+
+
+@lru_cache(maxsize=None)
+def _sorted_core(mults: tuple[int, ...], d: int) -> np.ndarray:
+    """sigma_{U,m_1} x...x sigma_{U,m_k}, memoized per (multiplicities, d)
+    and read-only."""
     core = np.eye(1)
     for m in mults:
         core = np.kron(core, universal_symmetric_state(m, d))
-    s = sorting_permutation(x)
-    V = permutation_operator(s, d)
-    return V.T @ core @ V  # V is real orthogonal; V^{-1} = V.T
+    core = core + 0.0  # -0.0 -> +0.0, so the gather equals V^T core V bit for bit
+    core.flags.writeable = False
+    return core

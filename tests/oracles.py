@@ -18,6 +18,14 @@ def cq_state(source: CqSource) -> np.ndarray:
     return out
 
 
+def product_state(source: CqSource, x: tuple) -> np.ndarray:
+    """rho_{x_1} x...x rho_{x_n} as a chain of np.kron calls."""
+    out = np.eye(1, dtype=complex)
+    for xi in x:
+        out = np.kron(out, np.asarray(source.states[xi], dtype=complex))
+    return out
+
+
 def von_neumann_conditional(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
     """H(A|B) = H(AB) - H(B) in bits."""
     rho_b = partial_trace(rho_ab, dims, keep=[1])

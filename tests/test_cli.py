@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ucqkd import compression
 from ucqkd.cli import (
     CSV_COLUMNS,
     SELFTEST_SUITES,
@@ -88,6 +89,20 @@ def test_compress_sim_three_symbols_strict_json(tmp_path):
 
 def test_compress_sim_capacity_exit_code():
     assert main(["compress-sim", "--n", "9", "--bins-log", "1"]) == 3
+
+
+def test_compress_sim_bound_violation_is_an_invariant_failure(monkeypatch, capsys):
+    # an exact error above the Theorem-1 bound breaks the theorem, not a cap
+    real_bound = compression.theorem_bound
+
+    def tiny_bound(exp):
+        report = real_bound(exp)
+        report.boundPerr = 1e-30
+        return report
+
+    monkeypatch.setattr(compression, "theorem_bound", tiny_bound)
+    assert main(["compress-sim", "--n", "2", "--bins-log", "1"]) == 2
+    assert "invariant violation: error-exponent bound violated" in capsys.readouterr().err
 
 
 def test_malformed_flag_exits_64(capsys):

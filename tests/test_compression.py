@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,12 @@ from ucqkd import compression
 from ucqkd.compression import (
     CompressionExperiment,
     _decoder_weights,
+    _bin_owners,
+    _equal_bins,
     _hash_members,
+    _partition_success,
     _prime_power,
-    _product_state,
+    _real_product_states,
     build_decoder_povm,
     exact_error_probability,
     operator_division,
@@ -24,13 +28,13 @@ from ucqkd.compression import (
     theorem_overhead,
 )
 from ucqkd.entropies import CqSource
-from ucqkd.errors import CapacityError, InvariantError, UsageError
-from ucqkd.fields import field
-from ucqkd.hashing import enumerate_surjective_family, hash_apply
+from ucqkd.errors import CapacityError, DomainError, InvariantError, UsageError
+from ucqkd.fields import GaloisField, field
+from ucqkd.hashing import enumerate_surjective_family, hash_apply, sample_toeplitz
 from ucqkd.matfun import herm_eig, random_density
 from ucqkd.schur_weyl import sigma_for_string
 
-from oracles import support_projector
+from oracles import product_state, support_projector
 
 
 def _random_source(rng, k=2, d=2, full_rank=True):
@@ -85,6 +89,18 @@ def test_division_completeness():
         B = random_density(d, rng, rank=max(1, d - 1))
         Y = operator_division_on_support(B, B)
         assert np.abs(Y - support_projector(B)).max() <= 1e-10
+        # I/B is the pseudo-inverse: zero off the support, not 1/1
+        pinv = np.linalg.pinv(B, hermitian=True, rtol=1e-10)
+        Yi = operator_division_on_support(np.eye(d), B)
+        assert np.abs(Yi - pinv).max() <= 1e-10 * np.abs(pinv).max()
+
+
+def test_division_requires_smallest_eigenvalue_above_1e_12():
+    A = np.diag([0.5, 2e-11])
+    Y = operator_division(A, np.diag([1.0, 5e-11]))
+    assert np.abs(Y - np.diag([0.5, 0.4])).max() <= 1e-12
+    with pytest.raises(DomainError):
+        operator_division(A, np.diag([1.0, 5e-13]))
 
 
 def test_division_linearity_and_order():
@@ -146,28 +162,94 @@ def test_decoder_povm_matches_division_per_element():
     assert not povm[(1, 2)].any()
 
 
-def test_bin_success_matches_decoder_povm_on_a_rank_deficient_bin():
-    # real low-rank sigmas and one zero weight leave the denominator rank 2
-    # of 4; the source states are complex, the contraction reads Re rho_x
+def test_partition_success_matches_decoder_povm_on_bins_of_different_ranks():
+    # one partition of the 8 strings of length 3 into 2 bins: bin 0 has real
+    # rank-1 sigmas, one with weight 0, so its denominator has rank 3 of 8;
+    # bin 1 has full-rank sigmas.  The source states are complex, the
+    # contraction reads Re rho_x.  The masked kernel must take no log of a
+    # non-positive eigenvalue (numpy warnings are errors in this suite).
     rng = np.random.default_rng(13)
     src = _random_source(rng, full_rank=False)
-    pre = [(0, 1), (1, 0), (1, 1)]
+    strings = list(itertools.product(range(2), repeat=3))
+    bins = np.array([[0, 3, 5, 6], [1, 2, 4, 7]])
     sigmas = {}
-    for x in pre:
-        v = rng.normal(size=4)
+    for x in strings[0], strings[3], strings[5], strings[6]:
+        v = rng.normal(size=8)
         sigmas[x] = np.outer(v, v)
-    weights = {(0, 1): 0.3, (1, 0): 0.0, (1, 1): 0.7}
-    povm = build_decoder_povm(pre, weights, sigmas)
-    assert np.linalg.matrix_rank(sum(povm.values())) == 2
-    rhos = [_product_state(src, x) for x in pre]
+    for x in strings[1], strings[2], strings[4], strings[7]:
+        G = rng.normal(size=(8, 8))
+        sigmas[x] = G @ G.T
+    weights = dict(zip(strings, rng.uniform(0.1, 1.0, size=8)))
+    weights[strings[3]] = 0.0
+    S = np.stack([weights[x] * sigmas[x] for x in strings])
+    rhos = [product_state(src, x) for x in strings]
     assert all(np.abs(rho.imag).max() > 1e-3 for rho in rhos)
-    good = compression._bin_success(
-        np.stack([weights[x] * sigmas[x] for x in pre]),
-        np.stack([rho.real for rho in rhos]),
-    )
-    ref = [np.trace(rho @ povm[x]).real for rho, x in zip(rhos, pre)]
-    assert np.abs(good - ref).max() <= 1e-12
-    assert good[1] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        good = _partition_success(S, _real_product_states(src.states, 3), bins)
+    for pre, rank in zip(bins, (3, 8)):
+        povm = build_decoder_povm([strings[i] for i in pre], weights, sigmas)
+        assert np.linalg.matrix_rank(sum(povm.values())) == rank
+        ref = [np.trace(rhos[i] @ povm[strings[i]]).real for i in pre]
+        assert np.abs(good[pre] - ref).max() <= 1e-12
+    assert good[3] == 0.0
+    S[bins[0]] = 0.0  # a zero denominator has no support to divide on
+    with pytest.raises(DomainError):
+        _partition_success(S, _real_product_states(src.states, 3), bins)
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (2, 4), (3, 3), (4, 2)])
+def test_real_product_states_match_kron_oracle(k, n):
+    # complex states: the real last factor must equal Re of the kron chain
+    rng = np.random.default_rng(20 + k + n)
+    src = _random_source(rng, k=k)
+    R = _real_product_states(src.states, n)
+    X = field(*_prime_power(k)).strings(n)
+    ref = np.stack([product_state(src, tuple(x)) for x in X.tolist()])
+    assert np.abs(ref.imag).max() > 1e-3
+    assert R.dtype == float and R.shape == ref.shape
+    assert np.abs(R - ref.real).max() <= 1e-15
+
+
+def _owners_one_member_at_a_time(gf, X, members):
+    out = []
+    for H in members:
+        _, first, inverse = np.unique(gf.vector_indices(gf.mat_mul(X, H)),
+                                      return_index=True, return_inverse=True)
+        out.append(first[inverse])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("q,n,m,family", [
+    (2, 4, 2, "all-surjective"), (3, 3, 1, "all-surjective"),
+    (4, 2, 1, "all-surjective"), (2, 6, 3, "toeplitz"), (3, 4, 2, "toeplitz"),
+])
+def test_one_pass_owners_match_per_member_unique(q, n, m, family):
+    gf = field(*_prime_power(q))
+    if family == "all-surjective":
+        members = enumerate_surjective_family(gf, n, m)
+    else:
+        rng = np.random.default_rng(q + n)
+        members = [sample_toeplitz(gf, n, m, rng) for _ in range(12)]
+    X = gf.strings(n)
+    owners = _bin_owners(gf, X, np.stack(members))
+    assert np.array_equal(owners, _owners_one_member_at_a_time(gf, X, members))
+    for owner in owners:
+        bins = _equal_bins(owner, q**m)
+        assert bins.shape == (q**m, q ** (n - m))
+        assert (owner[bins] == bins[:, :1]).all()
+
+
+def test_unequal_partition_is_an_invariant_failure():
+    # a rank-deficient "member" leaves bins empty; an uneven split is caught
+    # even when the number of bins is right
+    gf = field(2, 1)
+    X = gf.strings(3)
+    owner = _bin_owners(gf, X, np.array([[[1, 0], [1, 0], [0, 0]]]))[0]
+    with pytest.raises(InvariantError):
+        _equal_bins(owner, 4)
+    with pytest.raises(InvariantError):
+        _equal_bins(np.array([0, 0, 0, 3, 3, 3, 3, 3]), 2)
 
 
 def test_complex_decoder_states_are_rejected(monkeypatch):
@@ -210,7 +292,7 @@ def _member_by_member_error(exp):
                     continue
                 Y = (operator_division_on_support(weights[x] * sigmas[x], denom)
                      if weights[x] > 0 else np.zeros_like(denom))
-                good = np.trace(_product_state(exp.source, x) @ Y).real
+                good = np.trace(product_state(exp.source, x) @ Y).real
                 err += px * max(0.0, 1.0 - good)
         errs.append(err)
     vals = np.array(errs)
@@ -252,11 +334,12 @@ def test_exact_error_matches_member_by_member_reference(
 
 def test_one_eigendecomposition_per_bin_of_each_partition(monkeypatch):
     # the 210 full-rank 4 x 2 binary members induce 35 partitions (one per
-    # kernel) of 4 bins each; each bin's denominator is diagonalized once
+    # kernel) of 4 bins each; each bin's denominator is diagonalized once,
+    # in one call on the stack of a partition's 4 denominators
     calls = []
 
     def spy(B):
-        calls.append(1)
+        calls.append(np.shape(B))
         return herm_eig(B)
 
     monkeypatch.setattr(compression, "herm_eig", spy)
@@ -266,7 +349,41 @@ def test_one_eigendecomposition_per_bin_of_each_partition(monkeypatch):
         decoder_kind="partially-universal", hash_dits=2,
     )
     exact_error_probability(exp)
-    assert len(calls) == 35 * 4
+    assert calls == [(4, 16, 16)] * 35
+
+
+@pytest.mark.parametrize("family,trials", [("all-surjective", 0), ("toeplitz", 20)])
+def test_members_are_hashed_in_bounded_blocks(monkeypatch, family, trials):
+    # a family larger than one block is hashed block by block: no mat_mul
+    # call sees more than one block's worth of members, a partition met in
+    # an earlier block is not evaluated again, and the result is unchanged
+    rng = np.random.default_rng(12)
+    exp = CompressionExperiment(
+        source=_random_source(rng), n=4, bins_log=2.0,
+        decoder_kind="partially-universal", hash_dits=2, family=family,
+        trials=trials,
+    )
+    whole = exact_error_probability(exp)
+    stacks, eigs = [], []
+    real_mat_mul = GaloisField.mat_mul
+
+    def mat_mul_spy(self, A, B):
+        stacks.append(np.shape(B)[:-2])
+        return real_mat_mul(self, A, B)
+
+    def eig_spy(B):
+        eigs.append(np.shape(B))
+        return herm_eig(B)
+
+    monkeypatch.setattr(GaloisField, "mat_mul", mat_mul_spy)
+    monkeypatch.setattr(compression, "herm_eig", eig_spy)
+    monkeypatch.setattr(compression, "_HASH_BLOCK", 3 * 16 + 5)
+    assert exact_error_probability(exp) == whole
+    blocks = [s[0] for s in stacks if s]
+    assert all(math.prod(s) <= 3 for s in stacks)
+    assert len(blocks) == -(-(210 if trials == 0 else trials) // 3)
+    if trials == 0:
+        assert len(eigs) == 35
 
 
 def test_injective_hash_decodes_perfectly():

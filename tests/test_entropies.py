@@ -107,6 +107,25 @@ def test_sibson_finite_at_small_alpha_three_symbols():
     assert val <= math.log2(3) + 1e-9
 
 
+def test_sibson_order_sequence_matches_one_order_calls_bit_for_bit():
+    # a sequence of orders diagonalizes each block once; every value must
+    # equal the one-order call exactly, down to alpha = 0.001 at |X| = 3
+    from ucqkd.compression import ALPHA_GRID
+
+    orders = [1.0 - a for a in ALPHA_GRID]
+    assert min(orders) == pytest.approx(0.001)
+    rng = np.random.default_rng(6)
+    for k in (2, 2, 3, 3, 4):
+        src = _random_source(rng, k=k, d=2)
+        curve = conditional_renyi_sibson(src, orders)
+        one_by_one = np.array([conditional_renyi_sibson(src, a) for a in orders])
+        assert curve.shape == (len(orders),)
+        assert curve.tobytes() == one_by_one.tobytes()
+        assert isinstance(conditional_renyi_sibson(src, orders[0]), float)
+    with pytest.raises(UsageError):
+        conditional_renyi_sibson(src, [0.5, 1.0])
+
+
 def test_von_neumann_entropy_oracle():
     assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) <= 1e-12
     assert abs(von_neumann_entropy(np.diag([1.0, 0.0]))) <= 1e-12

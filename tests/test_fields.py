@@ -127,6 +127,9 @@ def test_mat_mul_matches_scalar_definition(p, r):
                 for t in range(k):
                     ref[i, j] = gf.add(int(ref[i, j]), gf.mul(int(A[i, t]), int(B[t, j])))
         assert np.array_equal(gf.mat_mul(A, B), ref)
+        # a stack of right factors: one product per member
+        Bs = rng.integers(0, gf.q, size=(3, k, m))
+        assert np.array_equal(gf.mat_mul(A, Bs), np.stack([gf.mat_mul(A, b) for b in Bs]))
     with pytest.raises(UsageError):
         gf.mat_mul(np.zeros((2, 3), dtype=np.int64), np.zeros((2, 3), dtype=np.int64))
 
