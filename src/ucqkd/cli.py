@@ -407,10 +407,10 @@ def _suite_field_weyl(check: _Check, quick: bool) -> None:
         for a in range(q):
             for b in range(q):
                 X, Z = fields.weyl_x(F, [a]), fields.weyl_z(F, [b])
-                phase = F.character(F.mul(a, b))
+                phase = F.character(F.mul_table[a, b])
                 check(np.allclose(Z @ X, phase * (X @ Z), atol=1e-12),
                       f"Weyl commutation fails at q={q} a={a} b={b}")
-                s = sum(F.character(F.mul(a, c)) for c in range(q))
+                s = F.character(F.mul_table[a]).sum()
                 expect = q if a == 0 else 0.0
                 check(abs(s - expect) < 1e-9, f"character sum fails at q={q}")
         mub = fields.mub_basis(F)
@@ -421,22 +421,29 @@ def _suite_field_weyl(check: _Check, quick: bool) -> None:
 
 
 def _suite_hashing(check: _Check, quick: bool) -> None:
-    F = fields.field(2, 1)
-    for n, m in ((2, 1), (3, 1), (3, 2)):
-        fam = hashing.enumerate_surjective_family(F, n, m)
-        frac, bound = hashing.verify_two_universal(F, fam, n, m)
-        check(frac <= bound + 1e-15,
-              f"surjective family not 2-universal at n={n} m={m}")
-        pre = hashing.hash_preimages(F, fam[0], n)
-        total = sum(len(v) for v in pre.values())
-        check(total == 2**n, "hash preimages do not partition the domain")
     rng = np.random.default_rng(5)
-    for n, m in ((2, 1), (3, 2)):
-        H = hashing.sample_toeplitz(F, n, m, rng)
-        quad = hashing.build_dual_quadruple(F, H)
-        U = hashing.hashing_unitary(F, quad)
-        check(np.allclose(U.conj().T @ U, np.eye(2**n), atol=1e-10),
-              "hashing unitary is not unitary")
+    # (n, m) up to n = 3 per field; the 3780 members of the 3 x 2 family over
+    # GF(4) would take most of the suite's time
+    for (p, r), shapes in (((2, 1), ((2, 1), (3, 1), (3, 2))),
+                           ((3, 1), ((2, 1), (3, 1), (3, 2))),
+                           ((2, 2), ((2, 1), (2, 2), (3, 1)))):
+        F = fields.field(p, r)
+        q = F.q
+        for n, m in shapes:
+            fam = hashing.enumerate_surjective_family(F, n, m)
+            check(len(fam) == math.prod(q**n - q**i for i in range(m)),
+                  f"surjective family has the wrong size at q={q} n={n} m={m}")
+            frac, bound = hashing.verify_two_universal(F, fam, n, m)
+            check(frac <= bound + 1e-15,
+                  f"surjective family not 2-universal at q={q} n={n} m={m}")
+            pre = hashing.hash_preimages(F, fam[0], n)
+            total = sum(len(v) for v in pre.values())
+            check(total == q**n, "hash preimages do not partition the domain")
+            H = hashing.sample_toeplitz(F, n, m, rng)
+            quad = hashing.build_dual_quadruple(F, H)
+            U = hashing.hashing_unitary(F, quad)
+            check(np.allclose(U.conj().T @ U, np.eye(q**n), atol=1e-10),
+                  f"hashing unitary is not unitary at q={q} n={n} m={m}")
 
 
 def _suite_schur_weyl(check: _Check, quick: bool) -> None:

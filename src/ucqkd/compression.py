@@ -24,19 +24,19 @@ Y(x) = U (K o U^T w(x) sigma_x U) U^T is real symmetric, with K the log
 kernel masked to the denominator's support; as Im rho_x is antisymmetric,
 Tr[rho_x Y(x)] is the entrywise sum of U^T Re(rho_x) U, K and
 U^T w(x) sigma_x U.  The simulation works on whole arrays: the stacks of
-w(x) sigma_x and Re rho_x are built once per experiment (Re rho_x by
-broadcasting the per-symbol states), one field-table pass hashes every
-string under a block of members (blocks of at most 2^18 member-strings keep
-the passes small for large families), and members with the same binning
-share one evaluation.  A full-rank hash splits the q^n strings into q^m bins of
-q^(n-m) strings each, so the q^m denominators of a partition are
-diagonalized in one call, followed by one batched contraction per bin.  The
-bound evaluates the Sibson entropy at every order of its grid in one call.
+w(x) sigma_x and Re rho_x are built once per experiment (the weights from
+the string matrix, Re rho_x by broadcasting the per-symbol states), one
+field-table pass hashes every string under a block of members (blocks of
+at most 2^18 member-strings keep the passes small for large families), and
+members with the same binning share one evaluation.  A full-rank hash
+splits the q^n strings into q^m bins of q^(n-m) strings each, so the q^m
+denominators of a partition are diagonalized in one call, followed by one
+batched contraction per bin.  The bound evaluates the Sibson entropy at
+every order of its grid in one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,7 +47,7 @@ from .errors import CapacityError, DomainError, InvariantError, UsageError
 from .fields import GaloisField, field as make_field
 from .hashing import enumerate_surjective_family, sample_toeplitz
 from .matfun import herm_eig
-from .schur_weyl import empirical_entropy, sigma_for_string
+from .schur_weyl import sigma_for_string
 
 BRUTE_FORCE_CAP = 2**16
 
@@ -181,17 +181,6 @@ class ErrorReport:
         }
 
 
-def _decoder_weights(source: CqSource, n: int, kind: str) -> dict[tuple, float]:
-    k = len(source.states)
-    out = {}
-    for x in itertools.product(range(k), repeat=n):
-        if kind == "fully-universal":
-            out[x] = 2.0 ** (-n * empirical_entropy(x, k))
-        else:
-            out[x] = float(np.prod([source.probs[xi] for xi in x]))
-    return out
-
-
 def build_decoder_povm(
     pre: list[tuple], weights: dict[tuple, float], sigmas: dict[tuple, np.ndarray]
 ) -> dict[tuple, np.ndarray]:
@@ -236,9 +225,19 @@ def _hash_members(exp: CompressionExperiment, field: GaloisField):
     if exp.family == "all-surjective":
         return enumerate_surjective_family(field, exp.n, exp.hash_dits), True
     rng = np.random.default_rng(exp.seed)
-    return [
+    return np.stack([
         sample_toeplitz(field, exp.n, exp.hash_dits, rng) for _ in range(exp.trials)
-    ], False
+    ]), False
+
+
+def _type_weights(X: np.ndarray, k: int) -> np.ndarray:
+    """Fully universal weights 2^{-n H(x)} for every row string x of X, with
+    H(x) the entropy of its type, from its symbol counts."""
+    n = X.shape[1]
+    counts = (X[:, :, None] == np.arange(k)).sum(axis=1)
+    types, which = np.unique(counts, axis=0, return_inverse=True)
+    w = [2.0 ** (n * sum(c / n * math.log2(c / n) for c in t if c)) for t in types.tolist()]
+    return np.array(w)[which.ravel()]
 
 
 # members x strings hashed per table pass: bounds the int64 arrays of one
@@ -278,14 +277,13 @@ def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
     k = len(exp.source.states)
     fld = make_field(*_prime_power(k))
     members, exhaustive = _hash_members(exp, fld)
-    weights = _decoder_weights(exp.source, exp.n, exp.decoder_kind)
     X = fld.strings(exp.n)
-    strings = list(map(tuple, X.tolist()))
-    S = np.stack([weights[x] * sigma_for_string(x, exp.source.dim) for x in strings])
+    pn = np.prod(np.asarray(exp.source.probs, dtype=float)[X], axis=1)
+    w = pn if exp.decoder_kind == "partially-universal" else _type_weights(X, k)
+    S = np.stack([wx * sigma_for_string(x, exp.source.dim) for wx, x in zip(w, X.tolist())])
     if np.iscomplexobj(S):
         raise InvariantError("the decoder states sigma_x must be real symmetric")
     R = _real_product_states(exp.source.states, exp.n)
-    pn = np.prod(np.asarray(exp.source.probs, dtype=float)[X], axis=1)
 
     nbins = fld.q ** exp.hash_dits
     by_partition: dict[bytes, float] = {}
@@ -293,7 +291,7 @@ def exact_error_probability(exp: CompressionExperiment) -> tuple[float, float]:
     step = max(1, _HASH_BLOCK // len(X))
     for start in range(0, len(members), step):
         partitions, which = np.unique(
-            _bin_owners(fld, X, np.stack(members[start:start + step])),
+            _bin_owners(fld, X, members[start:start + step]),
             axis=0, return_inverse=True)
         perr = np.empty(len(partitions))
         for i, owner in enumerate(partitions):

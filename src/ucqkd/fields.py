@@ -22,7 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -89,7 +88,8 @@ class GaloisField:
         self.modulus = (0, 1) if r == 1 else DEFAULT_MODULI[(p, r)]
 
         w = p ** np.arange(r)
-        self._coeffs = co = (np.arange(q)[:, None] // w) % p
+        # coeff_table[a]: coefficient vector of element a, constant term first
+        self.coeff_table = co = (np.arange(q)[:, None] // w) % p
         # companion matrix of the modulus: coeffs(x b) = coeffs(b) @ C
         C = np.eye(r, k=1, dtype=np.int64)
         C[-1] = -np.array(self.modulus[:-1]) % p
@@ -104,33 +104,6 @@ class GaloisField:
         self.trace_table = np.trace(R, axis1=1, axis2=2) % p
         if not (self.mul_table[np.arange(1, q), self.inv_table[1:]] == 1).all():
             raise InvariantError(f"modulus {self.modulus} is reducible over F_{p}")
-
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (constant term first) of element index ``a``."""
-        return tuple(int(c) for c in self._coeffs[a])
-
-    # -- scalar arithmetic ---------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        return int(self.add_table[a, self.neg_table[b]])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(self.neg_table[a])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DomainError("division by zero field element")
-        return int(self.inv_table[a])
-
-    def trace(self, a: int) -> int:
-        """Field trace to F_p, as an integer in [0, p)."""
-        return int(self.trace_table[a])
 
     def character(self, a):
         """Additive character chi(a) = exp(2*pi*i*Tr(a)/p), elementwise on arrays."""
@@ -154,74 +127,45 @@ class GaloisField:
             out = self.add_table[out, self.mul_table[A[..., :, t, None], B[..., None, t, :]]]
         return out
 
-    def _row_reduce(self, A):
-        """Return (RREF matrix, pivot column list)."""
+    def _row_reduce(self, A, ncols: int):
+        """Reduced row echelon form of each matrix of the stack A (any leading
+        axes) on its first `ncols` columns, the row operations acting on whole
+        rows, and each matrix's rank on those columns."""
         M = np.array(A, dtype=np.int64)
-        n, m = M.shape
-        pivots = []
-        row = 0
-        for col in range(m):
-            nonzero = np.flatnonzero(M[row:, col])
-            if not nonzero.size:
-                continue
-            piv = row + nonzero[0]
-            M[[row, piv]] = M[[piv, row]]
-            M[row] = self.mul_table[self.inv_table[M[row, col]], M[row]]
-            # subtract f_i times the pivot row from every row i, all at once
-            f = M[:, col].copy()
-            f[row] = 0
-            M = self.add_table[M, self.neg_table[self.mul_table[f[:, None], M[row]]]]
-            pivots.append(col)
-            row += 1
-            if row == n:
-                break
-        return M, pivots
+        lead, (n, m) = M.shape[:-2], M.shape[-2:]
+        M = M.reshape(-1, n, m)
+        rank = np.zeros(len(M), dtype=np.int64)
+        for col in range(ncols):
+            # matrices with a nonzero entry in col at or below their next pivot row
+            free = (np.arange(n) >= rank[:, None]) & (M[:, :, col] != 0)
+            t = np.flatnonzero(free.any(axis=1))
+            r, p = rank[t], free[t].argmax(axis=1)
+            pivot = M[t, p]
+            M[t, p] = M[t, r]
+            pivot = self.mul_table[self.inv_table[pivot[:, col]][:, None], pivot]
+            # subtract f_i times the pivot row from every other row i, all at once
+            f = M[t, :, col]
+            f[np.arange(len(t)), r] = 0
+            sub = self.neg_table[self.mul_table[f[:, :, None], pivot[:, None]]]
+            M[t] = self.add_table[M[t], sub]
+            M[t, r] = pivot
+            rank[t] += 1
+        return M.reshape(lead + (n, m)), rank.reshape(lead)[()]
 
-    def mat_rank(self, A) -> int:
-        return len(self._row_reduce(A)[1])
+    def mat_rank(self, A):
+        """Rank of A over the field, or of each matrix of a stack A."""
+        return self._row_reduce(A, np.shape(A)[-1])[1]
 
     def mat_inv(self, A):
+        """Inverse over the field; DomainError if A is singular."""
         A = np.asarray(A)
         n = A.shape[0]
         if A.shape != (n, n):
             raise UsageError("matrix inverse requires a square matrix")
-        aug = np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1)
-        R, piv = self._row_reduce(aug)
-        if piv != list(range(n)):
+        R, rank = self._row_reduce(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), n)
+        if rank < n:
             raise DomainError("matrix is singular over the field")
         return R[:, n:]
-
-    def mat_kernel(self, A):
-        """Basis (rows) of the right kernel {x : A x = 0}."""
-        A = np.asarray(A)
-        n, m = A.shape
-        R, piv = self._row_reduce(A)
-        free = [j for j in range(m) if j not in piv]
-        basis = []
-        for f in free:
-            x = np.zeros(m, dtype=np.int64)
-            x[f] = 1
-            for row_idx, pcol in enumerate(piv):
-                # x[pcol] = -R[row_idx, f]
-                x[pcol] = self.neg(int(R[row_idx, f]))
-            basis.append(x)
-        return np.array(basis, dtype=np.int64).reshape(len(basis), m)
-
-    def mat_solve(self, A, B):
-        """One particular solution X of A X = B, or raise if inconsistent."""
-        A = np.asarray(A)
-        B = np.asarray(B)
-        if B.ndim == 1:
-            B = B.reshape(-1, 1)
-        n, m = A.shape
-        aug = np.concatenate([A, B], axis=1)
-        R, piv = self._row_reduce(aug)
-        if any(p >= m for p in piv):
-            raise DomainError("linear system is inconsistent")
-        X = np.zeros((m, B.shape[1]), dtype=np.int64)
-        for row_idx, pcol in enumerate(piv):
-            X[pcol, :] = R[row_idx, m:]
-        return X
 
     # -- vector <-> basis-state index ----------------------------------------
 
@@ -230,18 +174,15 @@ class GaloisField:
         Z = np.asarray(Z, dtype=np.int64)
         return Z @ self.q ** np.arange(Z.shape[-1] - 1, -1, -1)
 
-    def strings(self, n: int):
-        """(q**n x n) matrix whose row idx is index_vector(idx, n)."""
-        return np.array(
-            list(itertools.product(range(self.q), repeat=n)), dtype=np.int64
-        ).reshape(self.q**n, n)
+    def digits(self, idx, n: int):
+        """The length-n string with basis-state index idx, for each index of
+        the array idx: its base-q digits, most significant first."""
+        idx = np.asarray(idx, dtype=np.int64)[..., None]
+        return idx // self.q ** np.arange(n - 1, -1, -1) % self.q
 
-    def index_vector(self, idx: int, n: int):
-        out = np.zeros(n, dtype=np.int64)
-        for k in range(n - 1, -1, -1):
-            out[k] = idx % self.q
-            idx //= self.q
-        return out
+    def strings(self, n: int):
+        """(q**n x n) matrix whose row idx is the string with index idx."""
+        return self.digits(np.arange(self.q**n), n)
 
     def __repr__(self) -> str:
         return f"GaloisField(p={self.p}, r={self.r}, modulus={self.modulus})"

@@ -6,18 +6,18 @@ bound holds with equality: for x != y, Pr_H[xH = yH] = 1/q^m.
 
 The *dual quadruple* (G, Gbar, H, Hbar) extends H to a basis change:
 
+* ``Hbar``  n x (n-m) unit columns completing H to an invertible ``(H Hbar)``
 * ``G``     n x (n-m), columns span {g : g^T H = 0}
 * ``Gbar``  n x m with ``Gbar^T H = I_m``
-* ``Hbar``  n x (n-m) completing ``(H Hbar) = (Gbar G)^{-T}``
 
-so that ``(Gbar G)^T (H Hbar) = I_n``.  The hashing unitary is the basis
+with ``(Gbar G) = (H Hbar)^{-T}`` from one inverse, so that
+``(Gbar G)^T (H Hbar) = I_n``.  The hashing unitary is the basis
 relabeling ``U|z> = |z (H Hbar)>``: after applying it, the first m qudits
 carry the hash value z H and the remaining n-m qudits carry z Hbar.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,11 @@ from .fields import GaloisField, _string_map_unitary
 
 # Cap on exhaustive family enumeration: q**(n*m) matrices.
 MAX_FAMILY_ENUM = 2**20
+
+# matrix entries per block of candidates row-reduced, or of member-strings
+# hashed: bounds the int64 arrays of one block to a few MB however large the
+# family is
+_ENUM_BLOCK = 1 << 18
 
 
 def hash_apply(field: GaloisField, H, x):
@@ -52,8 +57,9 @@ def sample_toeplitz(
     raise InvariantError("failed to sample a full-rank Toeplitz matrix")
 
 
-def enumerate_surjective_family(field: GaloisField, n: int, m: int) -> list[np.ndarray]:
-    """All n x m matrices of full column rank (exhaustive; small sizes only)."""
+def enumerate_surjective_family(field: GaloisField, n: int, m: int) -> np.ndarray:
+    """All n x m matrices of full column rank, as a stack in the order of
+    their base-q digits (exhaustive; small sizes only)."""
     if not 1 <= m <= n:
         raise UsageError(f"need 1 <= m <= n, got n={n}, m={m}")
     total = field.q ** (n * m)
@@ -61,12 +67,12 @@ def enumerate_surjective_family(field: GaloisField, n: int, m: int) -> list[np.n
         raise CapacityError(
             f"family enumeration size {total} exceeds {MAX_FAMILY_ENUM}"
         )
-    out = []
-    for flat in itertools.product(range(field.q), repeat=n * m):
-        H = np.array(flat, dtype=np.int64).reshape(n, m)
-        if field.mat_rank(H) == m:
-            out.append(H)
-    return out
+    step = max(1, _ENUM_BLOCK // (n * m))
+    kept = []
+    for start in range(0, total, step):
+        H = field.digits(np.arange(start, min(start + step, total)), n * m).reshape(-1, n, m)
+        kept.append(H[field.mat_rank(H) == m])
+    return np.concatenate(kept)
 
 
 def verify_two_universal(field: GaloisField, family, n: int, m: int):
@@ -78,9 +84,10 @@ def verify_two_universal(field: GaloisField, family, n: int, m: int):
     is 1/q^m.  The family is 2-universal iff max_fraction <= bound.
     """
     Z = field.strings(n)[1:]
-    hits = np.zeros(len(Z), dtype=np.int64)
-    for H in family:
-        hits += ~field.mat_mul(Z, H).any(axis=1)
+    family = np.asarray(family)
+    step = max(1, _ENUM_BLOCK // (len(Z) * m))
+    hits = sum(np.count_nonzero(~field.mat_mul(Z, family[i:i + step]).any(axis=-1), axis=0)
+               for i in range(0, len(family), step))
     return int(hits.max(initial=0)) / len(family), 1.0 / field.q**m
 
 
@@ -106,19 +113,14 @@ def build_dual_quadruple(field: GaloisField, H) -> DualQuadruple:
     """Complete a full-column-rank hash member H to its dual quadruple."""
     H = np.asarray(H, dtype=np.int64)
     n, m = H.shape
-    if field.mat_rank(H) != m:
+    R, rank = field._row_reduce(H.T, n)
+    if rank != m:
         raise UsageError("hash member must have full column rank")
-    # G columns: kernel of H^T (vectors g with g^T H = 0).
-    ker = field.mat_kernel(H.T)  # rows are kernel vectors, shape (n-m, n)
-    G = ker.T
-    # Gbar: any solution of H^T X = I_m.
-    Gbar = field.mat_solve(H.T, np.eye(m, dtype=np.int64))
-    S = np.concatenate([Gbar, G], axis=1)  # (Gbar G), always invertible
-    T = field.mat_inv(S.T)  # (H Hbar) = S^{-T}
-    if not np.array_equal(T[:, :m], H):
-        raise InvariantError("dual quadruple completion lost the hash member")
-    Hbar = T[:, m:]
-    quad = DualQuadruple(H=H, Hbar=Hbar, G=G, Gbar=Gbar)
+    # the rows of H at the pivot columns of H^T are independent, so the unit
+    # vectors at the other rows complete H to an invertible T = (H Hbar)
+    Hbar = np.delete(np.eye(n, dtype=np.int64), (R != 0).argmax(axis=1), axis=1)
+    S = field.mat_inv(np.concatenate([H, Hbar], axis=1)).T  # (Gbar G) = T^{-T}
+    quad = DualQuadruple(H=H, Hbar=Hbar, G=S[:, m:], Gbar=S[:, :m])
     _check_quadruple(field, quad)
     return quad
 

@@ -1,4 +1,5 @@
-"""Schur-Weyl isotypic projectors, universal symmetric states, and type theory.
+"""Schur-Weyl isotypic projectors, universal symmetric states, and the
+string-dependent states sigma_x.
 
 Everything here is brute force and exact-at-desk-scale: isotypic projectors
 of the (SU(d), S_n) duality are built by symmetric-group character averaging
@@ -210,25 +211,8 @@ def domination_factor(n: int, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Types, sorting permutations, string-dependent symmetric states
+# Sorting permutations, string-dependent symmetric states
 # ---------------------------------------------------------------------------
-
-
-def type_of(x, alphabet_size: int) -> tuple[Fraction, ...]:
-    """Empirical distribution of the string x, exact rational."""
-    x = list(x)
-    n = len(x)
-    return tuple(Fraction(x.count(a), n) for a in range(alphabet_size))
-
-
-def empirical_entropy(x, alphabet_size: int) -> float:
-    """H(x) in bits; depends only on the type of x."""
-    n = len(list(x))
-    h = 0.0
-    for p in type_of(x, alphabet_size):
-        if p > 0:
-            h -= float(p) * math.log2(float(p))
-    return h
 
 
 def sorting_permutation(x) -> tuple[int, ...]:

@@ -190,11 +190,11 @@ def test_05_weyl_algebra_exact(p, r):
     gf = field(p, r)
     q = gf.q
     for a in range(q):
-        s = sum(gf.character(gf.mul(a, c)) for c in range(q))
+        s = gf.character(gf.mul_table[a]).sum()
         assert abs(s - (q if a == 0 else 0.0)) <= 1e-9
         for b in range(q):
             X, Z = weyl_x(gf, [a]), weyl_z(gf, [b])
-            phase = gf.character(gf.mul(a, b))
+            phase = gf.character(gf.mul_table[a, b])
             assert np.abs(Z @ X - phase * (X @ Z)).max() <= 1e-12
     B = mub_basis(gf)
     assert np.abs(np.abs(B) ** 2 - 1.0 / q).max() <= 1e-12
@@ -221,8 +221,7 @@ def test_05_dual_quadruples_and_hashing_unitary():
             U = hashing_unitary(gf, quad)
             T = np.concatenate([quad.H, quad.Hbar], axis=1)
             C = np.concatenate([quad.Gbar, quad.G], axis=1)
-            for idx in range(2**n):
-                z = gf.index_vector(idx, n)
+            for idx, z in enumerate(gf.strings(n)):
                 # Z basis: |z> -> |z(H Hbar)>
                 out = U[:, idx]
                 tgt = gf.vector_indices(gf.mat_mul(z.reshape(1, -1), T))[0]

@@ -11,13 +11,13 @@ from scipy.integrate import quad
 from ucqkd import compression
 from ucqkd.compression import (
     CompressionExperiment,
-    _decoder_weights,
     _bin_owners,
     _equal_bins,
     _hash_members,
     _partition_success,
     _prime_power,
     _real_product_states,
+    _type_weights,
     build_decoder_povm,
     exact_error_probability,
     operator_division,
@@ -34,7 +34,7 @@ from ucqkd.hashing import enumerate_surjective_family, hash_apply, sample_toepli
 from ucqkd.matfun import herm_eig, random_density
 from ucqkd.schur_weyl import sigma_for_string
 
-from oracles import product_state, support_projector
+from oracles import decoder_weights, empirical_entropy, product_state, support_projector
 
 
 def _random_source(rng, k=2, d=2, full_rank=True):
@@ -128,7 +128,7 @@ def test_decoder_povm_is_valid(kind):
     gf = field(2, 1)
     fam = enumerate_surjective_family(gf, 2, 1)
     H = fam[0]
-    weights = _decoder_weights(src, 2, kind)
+    weights = decoder_weights(src, 2, kind)
     sigmas = {x: sigma_for_string(x, src.dim) for x in weights}
     bins = {}
     for x in itertools.product(range(2), repeat=2):
@@ -150,7 +150,7 @@ def test_decoder_povm_matches_division_per_element():
     # one eigendecomposition of the bin's denominator serves every numerator
     rng = np.random.default_rng(11)
     src = _random_source(rng, k=3)
-    weights = _decoder_weights(src, 2, "fully-universal")
+    weights = decoder_weights(src, 2, "fully-universal")
     sigmas = {x: sigma_for_string(x, src.dim) for x in weights}
     pre = [(0, 1), (1, 2), (2, 2), (0, 0)]
     weights[(1, 2)] = 0.0
@@ -196,6 +196,14 @@ def test_partition_success_matches_decoder_povm_on_bins_of_different_ranks():
     S[bins[0]] = 0.0  # a zero denominator has no support to divide on
     with pytest.raises(DomainError):
         _partition_success(S, _real_product_states(src.states, 3), bins)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_type_weights_equal_the_entropy_of_each_string_bit_for_bit(k):
+    for n in range(1, 8):
+        X = field(*_prime_power(k)).strings(n)
+        ref = [2.0 ** (-n * empirical_entropy(x, k)) for x in X.tolist()]
+        assert _type_weights(X, k).tolist() == ref
 
 
 @pytest.mark.parametrize("k,n", [(2, 1), (2, 4), (3, 3), (4, 2)])
@@ -274,7 +282,7 @@ def _member_by_member_error(exp):
     k = len(exp.source.states)
     gf = field(*_prime_power(k))
     members, exhaustive = _hash_members(exp, gf)
-    weights = _decoder_weights(exp.source, exp.n, exp.decoder_kind)
+    weights = decoder_weights(exp.source, exp.n, exp.decoder_kind)
     strings = list(itertools.product(range(k), repeat=exp.n))
     sigmas = {x: sigma_for_string(x, exp.source.dim) for x in strings}
     errs = []

@@ -1,11 +1,13 @@
 """Finite-field arithmetic, characters, Weyl operators, and MUBs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucqkd.errors import UsageError
+from ucqkd.errors import DomainError, UsageError
 from ucqkd.fields import (
     GaloisField,
     field,
@@ -13,6 +15,8 @@ from ucqkd.fields import (
     weyl_x,
     weyl_z,
 )
+
+from oracles import kernel_size
 
 FIELD_PARAMS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)]
 # every GF(p^r) the module supports, q = p^r <= 256
@@ -36,54 +40,44 @@ def gf(request):
 
 
 def test_additive_group(gf):
-    q = gf.q
-    for a in range(q):
-        assert gf.add(a, 0) == a
-        assert gf.add(a, gf.neg(a)) == 0
-        for b in range(q):
-            assert gf.add(a, b) == gf.add(b, a)
+    a = np.arange(gf.q)
+    assert np.array_equal(gf.add_table[a, 0], a)
+    assert not gf.add_table[a, gf.neg_table[a]].any()
+    assert np.array_equal(gf.add_table, gf.add_table.T)
 
 
 def test_multiplicative_group(gf):
-    q = gf.q
-    for a in range(q):
-        assert gf.mul(a, 1) == a
-        assert gf.mul(a, 0) == 0
-        if a != 0:
-            assert gf.mul(a, gf.inv(a)) == 1
-        for b in range(q):
-            assert gf.mul(a, b) == gf.mul(b, a)
+    a = np.arange(gf.q)
+    assert np.array_equal(gf.mul_table[a, 1], a)
+    assert not gf.mul_table[a, 0].any()
+    assert (gf.mul_table[a[1:], gf.inv_table[a[1:]]] == 1).all()
+    assert np.array_equal(gf.mul_table, gf.mul_table.T)
 
 
 def test_distributivity(gf):
-    q = gf.q
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                lhs = gf.mul(a, gf.add(b, c))
-                rhs = gf.add(gf.mul(a, b), gf.mul(a, c))
-                assert lhs == rhs
+    a, b, c = np.ix_(*[np.arange(gf.q)] * 3)
+    M, A = gf.mul_table, gf.add_table
+    assert np.array_equal(M[a, A[b, c]], A[M[a, b], M[a, c]])
 
 
-def _frobenius_conjugates(gf, a):
-    """a, a^p, ..., a^(p^(r-1)), each p-th power a product of p factors."""
-    out = [a]
+def _frobenius_trace(gf):
+    """sum_i a^(p^i) for every element a, each p-th power a product of p
+    factors."""
+    conj = tr = np.arange(gf.q)
     for _ in range(gf.r - 1):
-        b = 1
+        b = np.ones_like(conj)
         for _ in range(gf.p):
-            b = gf.mul(b, out[-1])
-        out.append(b)
-    return out
+            b = gf.mul_table[b, conj]
+        conj = b
+        tr = gf.add_table[tr, conj]
+    return tr
 
 
 def test_frobenius_and_trace(gf):
     # trace(a) = sum of Frobenius conjugates a^{p^i}, and lands in F_p
-    for a in range(gf.q):
-        tr = 0
-        for conj in _frobenius_conjugates(gf, a):
-            tr = gf.add(tr, conj)
-        assert gf.trace(a) == gf.coeffs(tr)[0]
-        assert all(c == 0 for c in gf.coeffs(tr)[1:])
+    co = gf.coeff_table[_frobenius_trace(gf)]
+    assert np.array_equal(co[:, 0], gf.trace_table)
+    assert not co[:, 1:].any()
 
 
 @pytest.mark.parametrize("p,r", ALL_FIELDS)
@@ -96,22 +90,18 @@ def test_every_supported_field_is_a_field(p, r):
     assert gf.mul_table[1:, 1:].all()
     a = np.arange(1, q)
     assert (gf.mul_table[a, gf.inv_table[a]] == 1).all()
-    for x in range(q):
-        tr = 0
-        for conj in _frobenius_conjugates(gf, x):
-            tr = gf.add(tr, conj)
-        assert gf.coeffs(tr) == (gf.trace(x),) + (0,) * (r - 1)
+    co = gf.coeff_table[_frobenius_trace(gf)]
+    assert np.array_equal(co[:, 0], gf.trace_table)
+    assert not co[:, 1:].any()
 
 
 def test_character_sums(gf):
     # sum_c chi(a c) = q if a == 0 else 0; chi is a homomorphism
     q = gf.q
-    for a in range(q):
-        s = sum(gf.character(gf.mul(a, c)) for c in range(q))
-        assert abs(s - (q if a == 0 else 0.0)) < 1e-9
-        for b in range(q):
-            lhs = gf.character(gf.add(a, b))
-            assert abs(lhs - gf.character(a) * gf.character(b)) < 1e-12
+    chi = gf.character(np.arange(q))
+    sums = gf.character(gf.mul_table).sum(axis=1)
+    assert np.abs(sums - np.where(np.arange(q) == 0, q, 0.0)).max() < 1e-9
+    assert np.abs(gf.character(gf.add_table) - np.outer(chi, chi)).max() < 1e-12
 
 
 @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2)])
@@ -125,7 +115,7 @@ def test_mat_mul_matches_scalar_definition(p, r):
         for i in range(n):
             for j in range(m):
                 for t in range(k):
-                    ref[i, j] = gf.add(int(ref[i, j]), gf.mul(int(A[i, t]), int(B[t, j])))
+                    ref[i, j] = gf.add_table[ref[i, j], gf.mul_table[A[i, t], B[t, j]]]
         assert np.array_equal(gf.mat_mul(A, B), ref)
         # a stack of right factors: one product per member
         Bs = rng.integers(0, gf.q, size=(3, k, m))
@@ -135,7 +125,8 @@ def test_mat_mul_matches_scalar_definition(p, r):
 
 
 def test_linear_algebra_solves_what_it_claims(gf):
-    # inverse, kernel and particular solution checked through mat_mul, on
+    # rank against the number q^(cols - rank) of solutions of A c = 0
+    # counted by brute force, and the inverse checked through mat_mul, on
     # random square and wide matrices with some rank deficiency
     rng = np.random.default_rng(gf.q)
     eye = np.eye(3, dtype=np.int64)
@@ -144,13 +135,42 @@ def test_linear_algebra_solves_what_it_claims(gf):
         if rng.random() < 0.3:
             A[2] = gf.mat_mul(rng.integers(0, gf.q, size=(1, 2)), A[:2])
         rank = gf.mat_rank(A)
-        K = gf.mat_kernel(A)
-        assert K.shape[0] == A.shape[1] - rank
-        assert not gf.mat_mul(A, K.T).any()
-        B = gf.mat_mul(A, rng.integers(0, gf.q, size=(A.shape[1], 2)))
-        assert np.array_equal(gf.mat_mul(A, gf.mat_solve(A, B)), B)
+        assert gf.q ** (A.shape[1] - rank) == kernel_size(gf, A)
         if rank == 3 and A.shape[1] == 3:
             assert np.array_equal(gf.mat_mul(A, gf.mat_inv(A)), eye)
+
+
+def test_stacked_elimination_matches_one_matrix_at_a_time(gf):
+    # RREF and rank of each matrix of a stack, rank-deficient ones included,
+    # equal those of the matrix reduced on its own; so do those of a stack
+    # of augmented matrices reduced on their first columns only
+    rng = np.random.default_rng(gf.q + 1)
+    for shape in ((3, 3), (2, 5), (5, 2), (4, 4)):
+        A = rng.integers(0, gf.q, size=(2, 15) + shape)
+        A[:, ::3, -1] = 0
+        A[:, 1::3, 0] = A[:, 1::3, -1]
+        A[:, 2::5] = 0
+        for ncols in (shape[1], shape[1] - 1):
+            R, rank = gf._row_reduce(A, ncols)
+            assert R.shape == A.shape and rank.shape == A.shape[:2]
+            assert (rank < min(shape)).any()
+            for a, r_one, rank_one in zip(A.reshape((-1,) + shape), R.reshape((-1,) + shape),
+                                          rank.ravel()):
+                r_ref, rank_ref = gf._row_reduce(a, ncols)
+                assert np.array_equal(r_one, r_ref) and rank_one == rank_ref
+            assert np.array_equal(gf.mat_rank(A), gf._row_reduce(A, shape[1])[1])
+
+
+def test_mat_inv_rejects_singular_matrices(gf):
+    rng = np.random.default_rng(gf.q + 2)
+    A = rng.integers(0, gf.q, size=(3, 3))
+    A[2] = gf.add_table[A[0], A[1]]
+    with pytest.raises(DomainError):
+        gf.mat_inv(A)
+    with pytest.raises(DomainError):
+        gf.mat_inv(np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(UsageError):
+        gf.mat_inv(np.zeros((2, 3), dtype=np.int64))
 
 
 def test_bad_field_parameters():
@@ -164,10 +184,11 @@ def test_bad_field_parameters():
 @settings(max_examples=60, deadline=None)
 def test_field_axioms_hypothesis(a, b, c):
     gf = field(3, 2)
-    assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
-    assert gf.sub(a, b) == gf.add(a, gf.neg(b))
+    M, A = gf.mul_table, gf.add_table
+    assert M[a, A[b, c]] == A[M[a, b], M[a, c]]
+    assert A[A[a, b], gf.neg_table[b]] == a
     if b != 0:
-        assert gf.mul(gf.mul(a, b), gf.inv(b)) == a
+        assert M[M[a, b], gf.inv_table[b]] == a
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +201,7 @@ def test_weyl_commutation_single(gf):
     for a in range(q):
         for b in range(q):
             X, Z = weyl_x(gf, [a]), weyl_z(gf, [b])
-            phase = gf.character(gf.mul(a, b))
+            phase = gf.character(gf.mul_table[a, b])
             assert np.allclose(Z @ X, phase * (X @ Z), atol=1e-12)
 
 
@@ -190,12 +211,12 @@ def test_weyl_composition(gf):
         for b in range(q):
             assert np.allclose(
                 weyl_x(gf, [a]) @ weyl_x(gf, [b]),
-                weyl_x(gf, [gf.add(a, b)]),
+                weyl_x(gf, [gf.add_table[a, b]]),
                 atol=1e-12,
             )
             assert np.allclose(
                 weyl_z(gf, [a]) @ weyl_z(gf, [b]),
-                weyl_z(gf, [gf.add(a, b)]),
+                weyl_z(gf, [gf.add_table[a, b]]),
                 atol=1e-12,
             )
 
@@ -219,21 +240,22 @@ def test_operators_match_per_index_loop(p, r):
     q = gf.q
     for n in (1, 2):
         dim = q**n
+        Z = gf.strings(n)
         for idx in range(dim):
-            v = gf.index_vector(idx, n)
+            v = Z[idx]
             X = np.zeros((dim, dim), dtype=complex)
             phases = np.zeros(dim, dtype=complex)
             for col in range(dim):
-                c = gf.index_vector(col, n)
-                shifted = [gf.add(int(s), int(t)) for s, t in zip(c, v)]
+                c = Z[col]
+                shifted = [gf.add_table[s, t] for s, t in zip(c, v)]
                 X[gf.vector_indices([shifted])[0], col] = 1
                 dot = 0
                 for s, t in zip(c, v):
-                    dot = gf.add(dot, gf.mul(int(s), int(t)))
+                    dot = gf.add_table[dot, gf.mul_table[s, t]]
                 phases[col] = gf.character(dot)
             assert np.array_equal(weyl_x(gf, v), X)
             assert np.allclose(weyl_z(gf, v), np.diag(phases), rtol=0, atol=1e-15)
-    B = np.array([[gf.character(gf.neg(gf.mul(c, cp))) for c in range(q)]
+    B = np.array([[gf.character(gf.neg_table[gf.mul_table[c, cp]]) for c in range(q)]
                   for cp in range(q)]) / np.sqrt(q)
     assert np.allclose(mub_basis(gf), B, rtol=0, atol=1e-15)
 
@@ -271,10 +293,11 @@ def test_mub_diagonalizes_x(gf):
 
 
 def test_index_vector_roundtrip(gf):
+    # row idx of strings(n) is the string with basis-state index idx, in
+    # itertools.product order; digits answers for any array of indices
     n = 2
-    for idx in range(min(gf.q**n, 64)):
-        v = gf.index_vector(idx, n)
-        assert gf.vector_indices([v])[0] == idx
     Z = gf.strings(n)
-    assert all(np.array_equal(Z[idx], gf.index_vector(idx, n)) for idx in range(gf.q**n))
+    assert np.array_equal(Z, list(itertools.product(range(gf.q), repeat=n)))
     assert np.array_equal(gf.vector_indices(Z), np.arange(gf.q**n))
+    idx = np.array([[gf.q**n - 1, 0], [1, gf.q]])
+    assert np.array_equal(gf.digits(idx, n), Z[idx])

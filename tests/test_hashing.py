@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+from ucqkd import hashing
 from ucqkd.errors import UsageError
-from ucqkd.fields import field, mub_basis
+from ucqkd.fields import GaloisField, field, mub_basis
 from ucqkd.hashing import (
     build_dual_quadruple,
     enumerate_surjective_family,
@@ -17,14 +18,16 @@ from ucqkd.hashing import (
     verify_two_universal,
 )
 
+from oracles import surjective_family
+
 
 def _exhaustive_collision_fraction(gf, family, n):
     """Oracle: worst-case Pr_H[xH = yH] over all pairs x != y, by brute force."""
     worst = 0
+    Z = gf.strings(n)
     for ix in range(gf.q**n):
         for iy in range(ix + 1, gf.q**n):
-            x = gf.index_vector(ix, n)
-            y = gf.index_vector(iy, n)
+            x, y = Z[ix], Z[iy]
             hits = sum(
                 1
                 for H in family
@@ -50,12 +53,36 @@ def test_surjective_family_two_universal(q_params, n, m):
 
 def test_family_size_all_surjective():
     # number of full-rank n x m matrices over F_q: prod_i (q^n - q^i)
-    gf = field(2, 1)
-    for n, m in ((2, 1), (3, 2)):
-        expect = 1
-        for i in range(m):
-            expect *= 2**n - 2**i
-        assert len(enumerate_surjective_family(gf, n, m)) == expect
+    for p, r in ((2, 1), (3, 1), (2, 2)):
+        gf = field(p, r)
+        for n, m in ((2, 1), (3, 2)):
+            expect = 1
+            for i in range(m):
+                expect *= gf.q**n - gf.q**i
+            assert len(enumerate_surjective_family(gf, n, m)) == expect
+
+
+@pytest.mark.parametrize("p,r,n,m", [
+    (2, 1, 3, 2), (2, 1, 4, 2), (3, 1, 3, 2), (2, 2, 3, 1), (2, 2, 2, 2), (5, 1, 2, 2),
+])
+def test_enumeration_matches_oracle_in_member_order(monkeypatch, p, r, n, m):
+    # blocks of 7 candidates: several blocks, the last one partial
+    gf = field(p, r)
+    blocks = []
+    real_row_reduce = GaloisField._row_reduce
+
+    def spy(self, A, ncols):
+        blocks.append(len(A))
+        return real_row_reduce(self, A, ncols)
+
+    monkeypatch.setattr(GaloisField, "_row_reduce", spy)
+    monkeypatch.setattr(hashing, "_ENUM_BLOCK", 7 * n * m)
+    fam = enumerate_surjective_family(gf, n, m)
+    full, rest = divmod(gf.q ** (n * m), 7)
+    assert blocks == [7] * full + [rest] * (rest > 0)
+    ref = surjective_family(gf, n, m)
+    assert fam.shape == (len(ref), n, m)
+    assert np.array_equal(fam, np.array(ref))
 
 
 def test_toeplitz_samples_are_valid_members():
@@ -79,6 +106,30 @@ def test_hash_preimages_partition():
     assert sizes == [2, 2, 2, 2]  # surjective linear map has equal fibers
 
 
+def _assert_quadruple_identities(gf, quad):
+    n, m = quad.n, quad.m
+    S = np.concatenate([quad.Gbar, quad.G], axis=1)
+    T = np.concatenate([quad.H, quad.Hbar], axis=1)
+    assert np.array_equal(gf.mat_mul(S.T, T), np.eye(n, dtype=np.int64))
+    assert not gf.mat_mul(quad.G.T, quad.H).any()
+    assert np.array_equal(gf.mat_mul(quad.Gbar.T, quad.H), np.eye(m, dtype=np.int64))
+    # Hbar is made of distinct unit columns
+    assert (quad.Hbar.sum(axis=0) == 1).all()
+    assert len(set(quad.Hbar.argmax(axis=0))) == n - m
+
+
+@pytest.mark.parametrize("p,r,n,m", [
+    (3, 1, 1, 1), (3, 1, 2, 1), (3, 1, 2, 2), (3, 1, 3, 1), (3, 1, 3, 2),
+    (2, 2, 2, 1), (2, 2, 2, 2), (2, 2, 3, 1), (5, 1, 2, 1), (5, 1, 2, 2), (5, 1, 3, 1),
+])
+def test_dual_quadruple_identities_for_every_member(p, r, n, m):
+    gf = field(p, r)
+    for H in enumerate_surjective_family(gf, n, m):
+        quad = build_dual_quadruple(gf, H)
+        assert np.array_equal(quad.H, H)
+        _assert_quadruple_identities(gf, quad)
+
+
 def test_dual_quadruple_identities():
     gf = field(2, 1)
     rng = np.random.default_rng(11)
@@ -86,14 +137,7 @@ def test_dual_quadruple_identities():
         H = sample_toeplitz(gf, n, m, rng)
         if gf.mat_rank(H) < m:
             continue
-        quad = build_dual_quadruple(gf, H)
-        S = np.concatenate([quad.Gbar, quad.G], axis=1)
-        T = np.concatenate([quad.H, quad.Hbar], axis=1)
-        assert np.array_equal(gf.mat_mul(S.T, T), np.eye(n, dtype=np.int64))
-        assert not gf.mat_mul(quad.G.T, quad.H).any()
-        assert np.array_equal(
-            gf.mat_mul(quad.Gbar.T, quad.H), np.eye(m, dtype=np.int64)
-        )
+        _assert_quadruple_identities(gf, build_dual_quadruple(gf, H))
 
 
 def test_dual_quadruple_rejects_rank_deficient():
@@ -142,8 +186,8 @@ def test_hashing_unitary_first_output_is_hash_value():
     fam = enumerate_surjective_family(gf, 3, 1)
     quad = build_dual_quadruple(gf, fam[0])
     U = hashing_unitary(gf, quad)
-    for idx in range(8):
-        z = gf.index_vector(idx, 3)
+    Z = gf.strings(3)
+    for z in Z:
         out = U @ _z_ket(gf, z)
-        w = gf.index_vector(int(np.argmax(np.abs(out))), 3)
+        w = Z[np.argmax(np.abs(out))]
         assert np.array_equal(w[:1], hash_apply(gf, quad.H, z))

@@ -14,15 +14,15 @@ from ucqkd.schur_weyl import (
     dim_permutation_irrep,
     dim_unitary_irrep,
     domination_factor,
-    empirical_entropy,
     enumerate_young,
     permutation_operator,
     sigma_for_string,
     sn_character,
     sorting_permutation,
-    type_of,
     universal_symmetric_state,
 )
+
+from oracles import empirical_entropy, type_of
 
 
 def test_young_diagram_count():
