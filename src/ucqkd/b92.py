@@ -300,28 +300,17 @@ def secrecy_budget(cfg: B92Config, analysis: str) -> EpsBudget:
     """
     if not 0.0 < cfg.target_eps_sec < 1.0:
         raise DomainError("target eps_sec must lie in (0,1)")
-    log2_inner = 2.0 * math.log2(cfg.target_eps_sec) - 1.0
-    log2_fq = log2_fq_factor(cfg.n_tot, 4)
-    if analysis == "universal":
-        each = log2_inner - 1.0
-        budget = EpsBudget(
-            analysis=analysis,
-            log2_eps1=each,
-            log2_eps2=each - 2.0 - log2_fq,
-            s=None,
-            log2_eps_cor=math.log2(cfg.eps_cor),
-        )
-    elif analysis == "conventional":
-        each = log2_inner - math.log2(3.0)
-        budget = EpsBudget(
-            analysis=analysis,
-            log2_eps1=each,
-            log2_eps2=each - 2.0 - log2_fq,
-            s=-each,
-            log2_eps_cor=math.log2(cfg.eps_cor),
-        )
-    else:
+    ways = {"universal": 2, "conventional": 3}.get(analysis)
+    if ways is None:
         raise UsageError(f"unknown analysis {analysis!r}")
+    each = 2.0 * math.log2(cfg.target_eps_sec) - 1.0 - math.log2(ways)
+    budget = EpsBudget(
+        analysis=analysis,
+        log2_eps1=each,
+        log2_eps2=each - 2.0 - log2_fq_factor(cfg.n_tot, 4),
+        s=-each if ways == 3 else None,
+        log2_eps_cor=math.log2(cfg.eps_cor),
+    )
     check = achieved_eps_sec(budget.log2_eps1, budget.log2_eps2, cfg.n_tot, budget.s)
     if check > cfg.target_eps_sec * (1.0 + 1e-9):
         raise DomainError("secrecy target unattainable with this split")
@@ -599,6 +588,17 @@ def phase_entropy_and_gradient(q4):
 
 
 def _pattern_objective(povms: PovmSet):
+    """rho -> (pattern exponent h, gradient), h = N(q) / s on the sifted
+    outcomes q_i = Tr[ops_i rho], with N concave and 1-homogeneous
+    (`phase_entropy_and_gradient`) and s = Tr[M_fil rho].
+
+    h is concave where s is fixed (`asymptotic_constraint_set`).  Where s
+    ranges over [lo, hi] (`constraint_set_B`) h is only pseudo-concave:
+    N - h(x) s is concave and 0 at x, so every feasible y has
+    h(y) <= h(x) + (s(x) / lo) gap(x), gap(x) = max_y Tr[grad h(x) (y - x)],
+    and the bound h(x) + gap(x) of `sequential_linearization`, which assumes
+    concavity, can be short by up to (hi / lo - 1) gap(x).
+    """
     ops = outcome_operators(povms)
 
     def objective(rho):
@@ -720,6 +720,11 @@ def conventional_key_length(
     of the acceptance set (any direction yields a valid lower bound on the
     key); its offset is the certified threshold of `_sanov_threshold`, so the
     excluded set has probability at most eps2.
+
+    On this set the exponent is pseudo-concave, not concave
+    (`_pattern_objective`), so the upper bound of its maximum can be short
+    by (hi / lo - 1) times its gap: about 1.5e-10 bits per sifted bit at
+    p = 0.02, n_tot = 1e11, where hi / lo - 1 = 4.3e-4 and the gap 3.5e-7.
     """
     povms = build_povms(cfg)
     n_extr, n_test, _ = cfg.splits
@@ -778,8 +783,7 @@ def _vn_objective(cfg: B92Config, q_fil: float):
     fmap, fadj = sf["filter_map"], sf["filter_adjoint"]
 
     def objective(rho):
-        sigma = fmap(rho)
-        val, grad = von_neumann_objective_and_gradient(sigma, _KEY_PINCH)
+        val, grad = von_neumann_objective_and_gradient(fmap(rho), _KEY_PINCH)
         # H(X|A'B')_norm = 1 - D(sigma||P sigma)/Tr sigma and the vN objective
         # is 1 - D(sigma||P sigma); rescale both around the fixed trace
         d = 1.0 - val
@@ -824,9 +828,7 @@ def devetak_winter_rate(cfg: B92Config, rho_ab: np.ndarray, q_fil: float) -> flo
     lam, U = herm_eig(rho_ab)
     lam = np.clip(lam, 0.0, None)
     # |psi> on A(2) B(2) E(4)
-    psi = np.zeros((2, 2, 4), dtype=complex)
-    for i in range(4):
-        psi += math.sqrt(lam[i]) * U[:, i].reshape(2, 2)[:, :, None] * np.eye(4)[i][None, None, :]
+    psi = (U * np.sqrt(lam)).reshape(2, 2, 4)
     sf = build_states_and_filter(cfg)
     # phi on A(2), B'(2), E(4)
     phi = np.einsum("bc,acE->abE", sf["w"], psi)

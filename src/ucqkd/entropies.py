@@ -64,69 +64,57 @@ class CqSource:
 # ---------------------------------------------------------------------------
 
 
-def _sibson_from_blocks(blocks, alphas) -> np.ndarray:
-    """-(a/(a-1)) log2 Tr[(sum_x A_x^a)^(1/a)] on (sub)normalized blocks A_x,
-    for every order a of `alphas`; each block is diagonalized once."""
-    eigs = [herm_eig(b) for b in blocks]
+def conditional_renyi_sibson(source: CqSource, alpha):
+    """H^up_alpha(X|B) of a cq source via the Sibson closed form,
+    -(a/(a-1)) log2 Tr[(sum_x (p(x) rho_B^x)^a)^(1/a)].
+
+    `alpha` is one order (float result) or a sequence of orders (array of
+    results, bit for bit the one-order values); each block p(x) rho_B^x is
+    diagonalized once for all of them.
+    """
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    if not all(0 < a < 1 for a in alphas):
+        raise UsageError(f"Sibson path requires alpha in (0,1), got {alpha}")
+    eigs = [herm_eig(b) for b in source.blocks()]
     s = np.stack([sum(eig_pow(lam, U, a) for lam, U in eigs) for a in alphas])
     out = np.empty(len(alphas))
-    for i, (alpha, lam) in enumerate(zip(alphas, herm_eig(s)[0])):
+    for i, (a, lam) in enumerate(zip(alphas, herm_eig(s)[0])):
         # log2 Tr[s^(1/a)] in log form: s^(1/a) overflows for small a
         lam = lam[lam >= EIG_CLAMP]
         if lam.size == 0:
             log2_tr = math.log2(1e-300)
         else:
             top = lam.max()
-            log2_tr = math.log2(top) / alpha + math.log2(float(np.sum((lam / top) ** (1.0 / alpha))))
-        out[i] = -(alpha / (alpha - 1.0)) * log2_tr
-    return out
+            log2_tr = math.log2(top) / a + math.log2(float(np.sum((lam / top) ** (1.0 / a))))
+        out[i] = -(a / (a - 1.0)) * log2_tr
+    return float(out[0]) if np.ndim(alpha) == 0 else out
 
 
-def conditional_renyi_sibson(source, alpha):
-    """H^up_alpha(X|B) of a cq source via the Sibson closed form.
-
-    `source` may be a CqSource or an explicit list of (sub)normalized blocks
-    A_x = p(x) rho_B^x; subnormalized input returns the value including the
-    normalization offset (the formula is applied to the blocks as given).
-    `alpha` is one order (float result) or a sequence of orders (array of
-    results, bit for bit the one-order values).
-    """
-    alphas = [float(a) for a in np.atleast_1d(alpha)]
-    if not all(0 < a < 1 for a in alphas):
-        raise UsageError(f"Sibson path requires alpha in (0,1), got {alpha}")
-    blocks = source.blocks() if isinstance(source, CqSource) else list(source)
-    if not blocks:
-        raise UsageError("empty block list")
-    values = _sibson_from_blocks(blocks, alphas)
-    return float(values[0]) if np.ndim(alpha) == 0 else values
-
-
-def conditional_renyi_direct(source, alpha: float) -> MaximizeResult:
+def conditional_renyi_direct(source: CqSource, alpha: float) -> MaximizeResult:
     """max_sigma -D_alpha(rho_XB || I x sigma) as a certified bracket in bits.
 
     Maximizes the concave map sigma -> (1/b) log2 Tr[M sigma^b], with
     M = sum_x (p(x) rho_B^x)^alpha and b = 1 - alpha, over density matrices
     with the shared maximizer `sequential_linearization`; the optimum lies in
     [value, upper_bound] of the returned result.  The optimizer never sees
-    the Sibson closed form, so the two computations check each other.
+    the Sibson closed form, so the two computations check each other.  Each
+    evaluation diagonalizes sigma once, for the value and the gradient.
     """
     if not 0 < alpha < 1:
         raise UsageError(f"direct path requires alpha in (0,1), got {alpha}")
-    blocks = source.blocks() if isinstance(source, CqSource) else list(source)
-    d = blocks[0].shape[0]
-    if d > 8:
+    if source.dim > 8:
         raise UsageError("direct optimization capped at dim 8")
-    M = sum(mpow(b, alpha) for b in blocks)
+    M = sum(mpow(b, alpha) for b in source.blocks())
     beta = 1.0 - alpha
 
     def objective(sigma):
-        T = float(np.trace(M @ mpow(sigma, beta)).real)
-        grad = frechet_derivative(
-            lambda t: t**beta, lambda t: beta * t ** (beta - 1.0), sigma, M
-        ) / (beta * LN2 * T)
+        lam, U = herm_eig(sigma)
+        T = float(np.trace(M @ eig_pow(lam, U, beta)).real)
+        grad = frechet_derivative(lambda t: t**beta, lambda t: beta * t ** (beta - 1.0),
+                                  lam, U, M) / (beta * LN2 * T)
         return math.log2(T) / beta, 0.5 * (grad + grad.conj().T)
 
-    return sequential_linearization(objective, FeasibleSet(dim=d))
+    return sequential_linearization(objective, FeasibleSet(dim=source.dim))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -1,8 +1,11 @@
 """Shared dense Hermitian matrix-function numerics.
 
-All spectral functions go through one eigendecomposition path with eigenvalue
-clamping at 1e-14: fractional powers of nearly singular density operators are
-the dominant failure mode at this scale.
+All spectral functions go through one eigendecomposition path, `herm_eig`,
+with eigenvalue clamping at 1e-14: fractional powers of nearly singular
+density operators are the dominant failure mode at this scale.  `eig_pow`
+and `frechet_derivative` take the eigenpairs a caller already holds, so an
+objective that needs a matrix power and its derivative at one state
+diagonalizes that state once.
 """
 
 from __future__ import annotations
@@ -52,28 +55,21 @@ def mlog2(A: np.ndarray) -> np.ndarray:
     return (U * vals) @ U.conj().T
 
 
-def divided_difference_matrix(f, fprime, lam: np.ndarray) -> np.ndarray:
-    """First divided-difference matrix f^[1] on the eigenvalue list lam.
-
-    Off-diagonal entries (f(a)-f(b))/(a-b); entries with |a-b| < 1e-8,
-    and the diagonal, use f' at the midpoint (the stable limit branch).
+def frechet_derivative(f, fprime, lam: np.ndarray, U: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Frechet derivative of the matrix function f at A = U diag(lam) U^dag
+    along C, on the eigenpairs (lam, U) the caller already holds:
+    U (f^[1] o U^dag C U) U^dag with the first divided-difference matrix f^[1]
+    (Daleckii-Krein).  Its off-diagonal entries are (f(a)-f(b))/(a-b);
+    entries with |a-b| < 1e-8, and the diagonal, use f' at the midpoint (the
+    stable limit branch).
     """
-    lam = np.asarray(lam, dtype=float)
     a = lam[:, None]
     b = lam[None, :]
     diff = a - b
     close = np.abs(diff) < 1e-8
-    safe = np.where(close, 1.0, diff)
-    out = (f(a) - f(b)) / safe
-    mid = fprime((a + b) / 2.0)
-    return np.where(close, mid, out)
-
-
-def frechet_derivative(f, fprime, A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Frechet derivative of the matrix function f at Hermitian A along C."""
-    lam, U = herm_eig(A)
-    fd = divided_difference_matrix(f, fprime, lam)
-    return U @ (fd * (U.conj().T @ C @ U)) @ U.conj().T
+    fd = np.where(close, fprime((a + b) / 2.0), (f(a) - f(b)) / np.where(close, 1.0, diff))
+    Uh = U.conj().T
+    return U @ (fd * (Uh @ C @ U)) @ Uh
 
 
 def partial_trace(A: np.ndarray, dims, keep) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Convex optimization kernels: a self-contained primal-dual interior-point
 solver for linear SDPs with certified dual bounds, concave entropy objectives
-with Frechet-derivative gradients, two certified maximizers of concave
-objectives over SDP feasible sets, and the exact tilted projection of a
-distribution onto a halfspace.  Sequential linearization (outer
-approximation with fully-corrective Frank-Wolfe) takes any objective with a
-gradient; `maximize_on_path` takes an objective of a few linear functionals
+whose value and Frechet-derivative gradient share one eigendecomposition of
+each matrix, two certified maximizers of concave objectives over SDP
+feasible sets, and the exact tilted projection of a distribution onto a
+halfspace.  Sequential linearization (outer approximation with
+fully-corrective Frank-Wolfe) takes any objective with a gradient;
+`maximize_on_path` takes an objective of a few linear functionals
 Tr[O_i rho] with its closed-form curvature, such as the classical divergence
 -min_p D(p||q(rho)) of a state set, and follows the interior-point path on
 it, which reaches a gap of 1e-13 in under 20 steps where Frank-Wolfe stalls
@@ -35,9 +36,9 @@ object starts from it; the path runs in the coordinates S^-1 rho S^-1,
 S = rho0^(1/2), where its start is the identity.  Linearization changes only
 the objective, so the feasible set, and with it the starting point, stays
 fixed for a whole run.
-Both maximizers solve on the set's facial-reduction face, which the set
-also keeps, so maximizations on one set share the reduced set and its
-phase-one point.
+Both maximizers reach the set's facial-reduction face the same way,
+through `_on_face`; the set keeps its face, so maximizations on one set
+share the reduced set and its phase-one point.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from scipy.linalg import get_lapack_funcs, lu_solve
 from scipy.optimize import brentq, minimize
 
 from .errors import DomainError, InfeasibleError, UsageError
-from .matfun import frechet_derivative, herm_eig, mpow
+from .matfun import eig_pow, frechet_derivative, herm_eig
 
 LN2 = math.log(2.0)
 
@@ -533,30 +534,19 @@ def renyi_objective_and_gradient(
     if not 0.0 < alpha < 1.0:
         raise UsageError("alpha must lie strictly inside (0, 1)")
     beta = 1.0 - alpha
-    sig_b = mpow(sigma, beta)
-    T = pinch(sig_b, projectors)
-    T = 0.5 * (T + T.conj().T)
-    lamT, UT = herm_eig(T)
+    lam, U = herm_eig(sigma)
+    lamT, UT = herm_eig(pinch(eig_pow(lam, U, beta), projectors))
     lamT = np.clip(lamT, 1e-300, None)
     g = float(np.sum(lamT ** (1.0 / beta)))
     value = math.log2(len(projectors)) + (beta / alpha) * math.log2(g)
-    # dG = Tr[(1/beta) T^{1/beta - 1} P(d sigma^beta)]
-    W = UT @ np.diag(lamT ** (1.0 / beta - 1.0)) @ UT.conj().T
-    inner = pinch(W, projectors)  # pinching is self-adjoint
-    fd = frechet_derivative(
-        lambda t: np.power(t, beta),
-        lambda t: beta * np.power(t, beta - 1.0),
-        _floor_state(sigma),
-        inner,
-    )
+    # dG = Tr[(1/beta) T^{1/beta - 1} P(d sigma^beta)] (pinching is
+    # self-adjoint); the Frechet derivative of sigma^beta takes sigma's
+    # eigenvalues floored at 1e-12, as beta t^(beta-1) is unbounded at 0
+    inner = pinch((UT * lamT ** (1.0 / beta - 1.0)) @ UT.conj().T, projectors)
+    fd = frechet_derivative(lambda t: np.power(t, beta), lambda t: beta * np.power(t, beta - 1.0),
+                            np.clip(lam, 1e-12, None), U, inner)
     grad = fd / (alpha * LN2 * g)
     return value, 0.5 * (grad + grad.conj().T)
-
-
-def _floor_state(sigma: np.ndarray) -> np.ndarray:
-    lam, U = herm_eig(sigma)
-    lam = np.clip(lam, 1e-12, None)
-    return U @ np.diag(lam) @ U.conj().T
 
 
 def von_neumann_objective_and_gradient(
@@ -569,17 +559,18 @@ def von_neumann_objective_and_gradient(
 
     i.e. log|X| minus the pinching relative entropy, with |X| =
     len(projectors); concave with gradient P(log2 P(sigma)) - log2(sigma).
+    sigma's eigenvalues are floored at 1e-12, and so are those of the
+    pinching of the floored state; each is diagonalized once.
     """
-    s = _floor_state(sigma)
-    Ps = _floor_state(pinch(s, projectors))
-    lam_s, U_s = herm_eig(s)
-    lam_p, U_p = herm_eig(Ps)
+    lam_s, U_s = herm_eig(sigma)
+    lam_s = np.clip(lam_s, 1e-12, None)
+    lam_p, U_p = herm_eig(pinch((U_s * lam_s) @ U_s.conj().T, projectors))
+    lam_p = np.clip(lam_p, 1e-12, None)
     H_s = float(-np.sum(lam_s * np.log2(lam_s)))
     H_p = float(-np.sum(lam_p * np.log2(lam_p)))
     value = math.log2(len(projectors)) - (H_p - H_s)
-    log_s = U_s @ np.diag(np.log2(lam_s)) @ U_s.conj().T
-    log_p = U_p @ np.diag(np.log2(lam_p)) @ U_p.conj().T
-    grad = pinch(log_p, projectors) - log_s
+    log_s = (U_s * np.log2(lam_s)) @ U_s.conj().T
+    grad = pinch((U_p * np.log2(lam_p)) @ U_p.conj().T, projectors) - log_s
     return value, 0.5 * (grad + grad.conj().T)
 
 
@@ -603,6 +594,19 @@ class MaximizeResult:
     @property
     def gap(self) -> float:
         return self.upper_bound - self.value
+
+
+def _on_face(objective, V):
+    """The objective on the face rho = V rho' V^dag of a set: evaluated at
+    V rho' V^dag, with the gradient (and the curvature K) pulled back by
+    V^dag . V.  Both maximizers solve through it."""
+    Vh = V.conj().T
+
+    def on_face(rho):
+        val, *mats = objective(V @ rho @ Vh)
+        return (val, *(Vh @ M @ V for M in mats))
+
+    return on_face
 
 
 def _fcfw_step(objective, atoms, weights, vertex):
@@ -644,9 +648,8 @@ def sequential_linearization(
     """Maximize a concave objective(sigma) -> (value, gradient) over an SDP
     feasible set by outer linearization with fully-corrective Frank-Wolfe.
 
-    The solve runs on the set's face (`FeasibleSet.face`): the objective
-    sees V rho V^dag and returns V^dag G V, and the reported sigma is lifted
-    back to the full space.
+    The solve runs on the set's face (`FeasibleSet.face`) through
+    `_on_face`, and the reported sigma is lifted back to the full space.
 
     By concavity every linearization gives a certified upper bound
     f* <= f(s_k) + max_feasible Tr[G_k (s - s_k)], evaluated with the SDP
@@ -666,16 +669,8 @@ def sequential_linearization(
     "converged" when the test holds without the gap term, "sdp_floor" when
     only the gap term meets it, "max_outer" when the iterations ran out.
     """
-    red, V = fs.face
-    on_face = red.dim < fs.dim
-    if on_face:
-        on_full_space = objective
-
-        def objective(rho):
-            val, grad = on_full_space(V @ rho @ V.conj().T)
-            return val, V.conj().T @ grad @ V
-
-    fs = red
+    fs, V = fs.face
+    objective = _on_face(objective, V)
     mix = 1e-9
     eye = np.eye(fs.dim, dtype=complex) * (fs.trace / fs.dim)
     if start is None:
@@ -706,9 +701,7 @@ def sequential_linearization(
             stop = "sdp_floor"
             break
         atoms, weights = _fcfw_step(objective, atoms, weights, res.rho)
-    if on_face:
-        best_sigma = V @ best_sigma @ V.conj().T
-    return MaximizeResult(value=best_val, upper_bound=upper, sigma=best_sigma,
+    return MaximizeResult(value=best_val, upper_bound=upper, sigma=V @ best_sigma @ V.conj().T,
                           iterations=it, stop=stop, atoms=atoms, weights=weights)
 
 
@@ -729,10 +722,11 @@ def maximize_on_path(objective, fs: FeasibleSet, gap_tol: float = 1e-7) -> Maxim
     also bounds max_feasible Tr[G (s - sigma)] at the returned sigma.  The
     path aims at gap_tol * scale, scale = max(1, ||G||) at the start, and
     `stop` is "converged" when that gap is met and "stalled" when the path
-    ended short of it.  Runs on the set's face, like
+    ended short of it.  Runs on the set's face through `_on_face`, like
     `sequential_linearization`.
     """
     red, V = fs.face
+    objective = _on_face(objective, V)
     basis, eq_mats, b, in_mats, f, S, whitened = _whitening(red)
     seen = {}
 
@@ -742,8 +736,7 @@ def maximize_on_path(objective, fs: FeasibleSet, gap_tol: float = 1e-7) -> Maxim
         key = x.tobytes()
         if key not in seen:
             rho = S @ vec_to_mat(x, basis) @ S
-            val, grad, K = objective(V @ rho @ V.conj().T)
-            grad, K = V.conj().T @ grad @ V, V.conj().T @ K @ V
+            val, grad, K = objective(rho)
             Kx = whitened(K)
             seen.clear()
             seen[key] = rho, val, grad, whitened([grad])[0], Kx.T @ Kx
@@ -789,28 +782,24 @@ def tilted_projection(q: np.ndarray, gamma: np.ndarray, c: float):
     q = q / q.sum()
     gamma = np.asarray(gamma, dtype=float)
 
-    def mean(t):
+    def tilted(t):
         w = q * np.exp(t * (gamma - gamma.max()))
-        p = w / w.sum()
-        return p
+        return w / w.sum()
 
     if float(gamma @ q) >= c - tol:
         return q.copy(), 0.0
-    sup = gamma[q > 0].max()
-    if sup < c - tol:
+    if gamma[q > 0].max() < c - tol:
         raise DomainError("halfspace unreachable from the support of q")
     hi = 1.0
     # cap t by the scale of gamma: the tilt acts through t * gamma only
     t_cap = 1e8 / np.ptp(gamma)
-    while float(gamma @ mean(hi)) < c and hi < t_cap:
+    while float(gamma @ tilted(hi)) < c and hi < t_cap:
         hi *= 2.0
-    if float(gamma @ mean(hi)) < c:
+    if float(gamma @ tilted(hi)) < c:
         raise DomainError("tilting failed to reach the halfspace boundary")
-    t = brentq(lambda t: float(gamma @ mean(t)) - c, 0.0, hi, xtol=tol)
-    p = mean(t)
-    mask = p > 0
-    div = float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
-    return p, div
+    t = brentq(lambda t: float(gamma @ tilted(t)) - c, 0.0, hi, xtol=tol)
+    p = tilted(t)
+    return p, divergence_bits(p, q)
 
 
 def divergence_bits(p: np.ndarray, q: np.ndarray) -> float:

@@ -63,7 +63,8 @@ def test_support_projector():
 
 
 def test_frechet_derivative_vs_finite_differences():
-    """d/dt f(A + tC)|_0 compared to the divided-difference construction."""
+    """d/dt f(A + tC)|_0 compared to the divided-difference construction on
+    A's eigenpairs."""
     rng = np.random.default_rng(1)
     for _ in range(20):
         d = int(rng.integers(2, 5))
@@ -74,7 +75,7 @@ def test_frechet_derivative_vs_finite_differences():
             (lambda t: np.power(t, 0.3), lambda t: 0.3 * np.power(t, -0.7)),
             (np.log, lambda t: 1.0 / t),
         ):
-            D = frechet_derivative(f, fp, A, C)
+            D = frechet_derivative(f, fp, *herm_eig(A), C)
             h = 1e-6
 
             def fmat(M):
@@ -91,8 +92,14 @@ def test_frechet_derivative_degenerate_spectrum():
     A = np.diag([0.5, 0.5, 0.25])
     rng = np.random.default_rng(2)
     C = _rand_herm(3, rng)
-    D = frechet_derivative(lambda t: t**2, lambda t: 2 * t, A, C)
+    D = frechet_derivative(lambda t: t**2, lambda t: 2 * t, np.diag(A), np.eye(3), C)
     assert np.allclose(D, A @ C + C @ A, atol=1e-10)
+    # any eigenbasis of the repeated eigenvalue gives the same derivative
+    R = np.linalg.qr(_rand_herm(2, rng))[0]
+    U = np.eye(3, dtype=complex)
+    U[:2, :2] = R
+    D_rot = frechet_derivative(lambda t: t**2, lambda t: 2 * t, np.diag(A), U, C)
+    assert np.allclose(D_rot, D, atol=1e-12)
 
 
 def test_partial_trace_oracle():

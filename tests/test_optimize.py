@@ -368,20 +368,43 @@ def test_facial_reduce_keeps_feasible_points():
 # ---------------------------------------------------------------------------
 
 
+def _gradient_inputs(rng):
+    """(sigma, projectors, step, rtol) for the finite-difference gradient
+    checks: qubit states under KEY_PINCH, two-qubit states under the B92 key
+    pinching, and a two-qubit state with an eigenvalue of 1e-9.  There the
+    step is 1e-11, and eigh resolves that eigenvalue only to about 1e-16
+    absolute, which leaves the difference quotient about 1e-4 relative."""
+    for _ in range(5):
+        yield random_density(2, rng) + 0.05 * np.eye(2), KEY_PINCH, 1e-6, 1e-5
+    for _ in range(3):
+        yield random_density(4, rng) + 0.05 * np.eye(4), b92._KEY_PINCH, 1e-6, 1e-5
+    lam, U = herm_eig(random_density(4, rng))
+    lam[0] = 1e-9
+    yield (U * lam) @ U.conj().T, b92._KEY_PINCH, 1e-11, 3e-4
+
+
+def _gradient_error(objective, sigma, h, rng):
+    """Central difference of objective's value along a random Hermitian D
+    against Tr[grad D], relative to max(1, |difference|)."""
+    D = _rand_herm(len(sigma), rng)
+    _, grad = objective(sigma)
+    fd = (objective(sigma + h * D)[0] - objective(sigma - h * D)[0]) / (2 * h)
+    return abs(fd - float(np.trace(grad @ D).real)) / max(1.0, abs(fd))
+
+
 def test_renyi_objective_gradient_finite_differences():
     rng = np.random.default_rng(3)
-    basis = herm_basis(2)
     for alpha in (0.2, 0.38, 0.6):
-        for _ in range(5):
-            sigma = random_density(2, rng) + 0.05 * np.eye(2)
-            val, grad = renyi_objective_and_gradient(sigma, alpha, KEY_PINCH)
-            D = _rand_herm(2, rng)
-            h = 1e-6
-            up, _ = renyi_objective_and_gradient(sigma + h * D, alpha, KEY_PINCH)
-            dn, _ = renyi_objective_and_gradient(sigma - h * D, alpha, KEY_PINCH)
-            fd = (up - dn) / (2 * h)
-            direct = float(np.trace(grad @ D).real)
-            assert abs(fd - direct) <= 1e-5 * max(1.0, abs(fd))
+        for sigma, projectors, h, rtol in _gradient_inputs(rng):
+            objective = lambda s: renyi_objective_and_gradient(s, alpha, projectors)
+            assert _gradient_error(objective, sigma, h, rng) <= rtol
+
+
+def test_von_neumann_objective_gradient_finite_differences():
+    rng = np.random.default_rng(5)
+    for sigma, projectors, h, rtol in _gradient_inputs(rng):
+        objective = lambda s: von_neumann_objective_and_gradient(s, projectors)
+        assert _gradient_error(objective, sigma, h, rng) <= rtol
 
 
 def test_objectives_concave_linearization():
