@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .entropies import (
     binary_entropy,
     log2_fq_factor,
-    relative_entropy_variance,
     solve_delta1,
     solve_delta2,
     solve_r_err,
@@ -39,7 +38,6 @@ from .optimize import (
     maximize_on_path,
     renyi_objective_and_gradient,
     sequential_linearization,
-    solve_linear_sdp,
     tilted_projection,
     von_neumann_objective_and_gradient,
 )
@@ -65,8 +63,8 @@ class B92Config:
     amp is the signal-state amplitude a in |psi_x> = b|0~> + (-1)^x a|1~>
     with b = sqrt(1 - a^2); 0 < amp < 1/sqrt(2).  splits defaults to equal
     thirds of n_tot.  alpha_renyi is the Renyi order parameter for the
-    universal analysis, or "auto" to maximize n_fin over alpha with one
-    bounded search around the balance point of the penalty terms.
+    universal analysis, or "auto" to take the best order of a search for
+    the stationary point of n_fin in alpha (`_auto_alpha`).
     """
 
     amp: float = 0.38
@@ -420,11 +418,16 @@ def universal_key_length(
             - 18 log2(n_sift+1) - log2(1/eps2)/alpha,
     with r_down the lower confidence bound on the per-round filter success.
     The certified upper bound on R*_alpha is used, so n_fin is a valid
-    (pessimistic) key length.  With alpha_renyi="auto", alpha is the best
-    order found by one bounded Brent search from the seed where the penalty
-    terms' 1/alpha cost balances the Renyi order's linear cost; each order
-    after the first starts its R* maximization from the Frank-Wolfe atoms
-    of the evaluated order nearest to it in log alpha.
+    (pessimistic) key length.  rho_expected is accepted and ignored.
+
+    With alpha_renyi="auto", alpha is the best order `_auto_alpha` evaluates.
+    Each R* maximizer rho* also gives d n_fin / d log alpha =
+    n_sift (A/alpha - c alpha) (envelope theorem; Milgrom & Segal 2002): with
+    s = Tr[M_fil rho*], R*_alpha = f_alpha(tau) + (1/alpha - 1) log2 s at
+    tau = Phi(rho*)/s, so A = log2(s/r_down) + log2(1/eps2)/n_sift and
+    c = d f_alpha(tau) / d alpha, by central difference.  Each order after
+    the first starts from the Frank-Wolfe atoms of the evaluated order
+    nearest to it in log alpha.
     """
     povms = build_povms(cfg)
     n_extr = cfg.splits[0]
@@ -442,7 +445,7 @@ def universal_key_length(
     fs = constraint_set_B(stats, cfg.splits, budget.log2_eps2, povms)
     rstar = {}  # R* results by alpha, all on fs
 
-    def n_fin_at(a: float) -> float:
+    def evaluate(a: float) -> tuple[float, float, float]:
         # the first order starts cold, each later one from the evaluated
         # order nearest to it in log alpha
         start = rstar[min(rstar, key=lambda b: abs(math.log(a / b)))] if rstar else None
@@ -452,15 +455,17 @@ def universal_key_length(
             + 18.0 * math.log2(n1 + 1)
             + (-budget.log2_eps2) / a
         )
-        return n1 - syn
+        s = float(np.trace(povms.M_fil @ res.sigma).real)
+        tau, h = res.sigma / s, 1e-6 * a
+        f = [renyi_entropy_objective(cfg, a + d)(tau)[0] for d in (h, -h)]
+        return n1 - syn, math.log2(s / r_down) + (-budget.log2_eps2) / n1, (f[0] - f[1]) / (2 * h)
 
     alpha = cfg.alpha_renyi
     if alpha == "auto":
-        seed = _alpha_seed(cfg, stats, budget, fs, rho_expected, r_down)
-        alpha, n_fin = _auto_alpha(n_fin_at, seed)
+        alpha, n_fin = _auto_alpha(evaluate)
     else:
         alpha = float(alpha)
-        n_fin = n_fin_at(alpha)
+        n_fin = evaluate(alpha)[0]
     ec = _ec_cost(stats, budget)
     clamped = n_fin <= 0.0
     n_fin = max(0.0, n_fin)
@@ -475,56 +480,32 @@ def universal_key_length(
     )
 
 
-def _auto_alpha(n_fin_at, seed):
-    """One bounded Brent search in log alpha on [seed/5, 1.8 seed]; returns
-    the best (alpha, n_fin) it evaluated.  The seed lies at 1.2-3.6 times
-    the optimum on the acceptance-sweep and p = 0 points, hence the reach
-    down to seed/5; the top, at most 0.81, stays inside (0, 1)."""
-    vals = {}
-
-    def neg_n_fin(log_a):
-        a = math.exp(log_a)
-        vals[a] = n_fin_at(a)
-        return -vals[a]
-
-    minimize_scalar(
-        neg_n_fin, bounds=(math.log(seed / 5.0), math.log(1.8 * seed)),
-        method="bounded", options={"xatol": 5e-3},
-    )
+def _auto_alpha(evaluate):
+    """The best (alpha, n_fin) evaluated in a search for the stationary point
+    of n_fin in x = log alpha, where evaluate(alpha) = (n_fin, A, c) and
+    n_fin rises iff A > c alpha^2.  From alpha = 0.1 it steps by
+    F = log(A/c)/2 - x, then by secants on F, or by +-1 where A <= 0 or
+    c <= 0; a step out of the bracket on the sign of A - c alpha^2 bisects
+    it.  alpha <= 0.9; it stops at a step below 5e-3 or after 12 calls."""
+    vals, lo, hi, top = {}, -math.inf, math.inf, math.log(0.9)
+    x, prev = math.log(0.1), None
+    for _ in range(12):
+        a = math.exp(x)
+        vals[a], A, c = evaluate(a)
+        rising = A > c * a * a
+        lo, hi = (x, hi) if rising else (lo, x)
+        F = 0.5 * math.log(A / c) - x if A > 0.0 and c > 0.0 else None
+        step = naive = F if F is not None else (1.0 if rising else -1.0)
+        if F is not None and prev is not None and prev[1] not in (None, F):
+            step = -F * (x - prev[0]) / (F - prev[1])
+        if not lo < x + step < hi:
+            step = naive if math.isinf(lo + hi) else 0.5 * (lo + hi) - x
+        step = min(x + step, top) - x
+        if abs(step) < 5e-3:
+            break
+        prev, x = (x, F), x + step
     best = max(vals, key=vals.get)
     return best, vals[best]
-
-
-def _alpha_seed(cfg, stats, budget, fs, rho_expected, r_down) -> float:
-    """alpha0 = min(sqrt(A/c), 0.45), where the penalty A/alpha, with
-    A = log2(hi/r_down) + log2(1/eps2)/n1, balances the Renyi order's cost
-    c alpha, c = V ln2 / 2, from the second-order expansion of the Renyi
-    entropy (Tomamichel, Colbeck & Renner 2009); V is the relative-entropy variance of the expected filtered
-    state, and alpha0 = 0.45 when V vanishes or is undefined."""
-    if rho_expected is None:
-        # center of the acceptance set as a stand-in for the expected state
-        rho_expected = solve_linear_sdp(np.zeros((4, 4), dtype=complex), fs).rho
-    sf = build_states_and_filter(cfg)
-    sigma = sf["filter_map"](rho_expected)
-    # M_fil has full rank, so a density operator keeps a positive trace
-    sigma = sigma / float(np.trace(sigma).real)
-    # cq state of the key-basis twirl orbit vs identity x marginal
-    z = np.zeros((4, 4), dtype=complex)
-    zop = np.kron(np.diag([1.0, -1.0]).astype(complex), np.eye(2, dtype=complex))
-    b0 = sigma / 2.0
-    b1 = zop @ sigma @ zop.conj().T / 2.0
-    rho_x = np.block([[b0, z], [z, b1]])
-    marg = b0 + b1
-    big = np.block([[marg, z], [z, marg]])
-    try:
-        v = relative_entropy_variance(rho_x, big)
-    except DomainError:
-        v = 0.0
-    if v <= 1e-12:
-        return 0.45
-    hi = fs.ineq[1][1]  # upper end of constraint_set_B's filter band
-    A = math.log2(hi / r_down) + (-budget.log2_eps2) / stats.n_sift
-    return min(math.sqrt(A / (v * LN2 / 2.0)), 0.45)
 
 
 def _ec_cost(stats: ObservedStats, budget: EpsBudget) -> float:

@@ -151,10 +151,11 @@ def cmd_compress_sim(args: argparse.Namespace) -> int:
     if kind is None:
         raise UsageError(f"unknown decoder {opts['decoder']!r}")
     source = _random_source(int(opts["alphabet"]), int(opts["d"]), int(opts["seed"]))
+    # the simulation hashes to m whole dits; bound and report m log2|X| bits
+    dit_bits = math.log2(int(opts["alphabet"]))
+    m = max(1, round(float(opts["bins_log"]) / dit_bits))
     exp = compression.CompressionExperiment(
-        source=source, n=int(opts["n"]), bins_log=float(opts["bins_log"]),
-        decoder_kind=kind, hash_dits=max(1, round(float(opts["bins_log"])
-                                                  / math.log2(int(opts["alphabet"])))),
+        source=source, n=int(opts["n"]), bins_log=m * dit_bits, decoder_kind=kind, hash_dits=m,
         family=str(opts["family"]), seed=int(opts["seed"]),
     )
     report = compression.run_experiment(exp)
@@ -219,8 +220,7 @@ def _keyrate_point(task: dict) -> dict:
         rng = np.random.default_rng([task["seed"], task["index"]])
         stats = b92.sample_observed(cfg, p, budget.log2_eps1, rng)
         if analysis == "universal":
-            rho = b92.depolarized_state(cfg, p)
-            res = b92.universal_key_length(cfg, stats, budget, rho_expected=rho)
+            res = b92.universal_key_length(cfg, stats, budget)
         else:
             res = b92.conventional_key_length(cfg, stats, budget)
     except (InfeasibleError, DomainError) as exc:

@@ -33,6 +33,11 @@ splits the q^n strings into q^m bins of q^(n-m) strings each, so the q^m
 denominators of a partition are diagonalized in one call, followed by one
 batched contraction per bin.  The bound evaluates the Sibson entropy at
 every order of its grid in one call.
+
+Within BRUTE_FORCE_CAP the bound is the clamp 1.0, so exactPerr <= boundPerr
+does not test the theorem there: as H^up >= 0 and log|B_n| <= n log2|X|, it
+needs n log2|X| > overhead log2(n+1)/2, first met for d = 2 at n = 17 and 23
+(|X| = 2, partially and fully universal) and 16 and 20 (|X| = 3).
 """
 
 from __future__ import annotations

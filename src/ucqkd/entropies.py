@@ -2,10 +2,9 @@
 
 Conditional Rényi entropy (the Sibson closed form, and a certified bracket
 on the same maximum from the shared maximizer
-`optimize.sequential_linearization`), von Neumann entropy, relative entropy
-variance, the binary relative entropy with its concentration-bound
-root-finders delta_1 / delta_2 / r_err, and log2 of the i.i.d.-reduction
-factor f_q.
+`optimize.sequential_linearization`), von Neumann entropy, the binary
+relative entropy with its concentration-bound root-finders delta_1 /
+delta_2 / r_err, and log2 of the i.i.d.-reduction factor f_q.
 
 All logarithms are base 2; every entropy is in bits.  alpha = 1 is always
 handled by the dedicated von Neumann path, never by a limiting formula.
@@ -20,14 +19,13 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gammaln, rel_entr, xlogy
 
-from .errors import DomainError, InvariantError, UsageError
+from .errors import DomainError, UsageError
 from .matfun import (
     EIG_CLAMP,
     check_hermitian,
     eig_pow,
     frechet_derivative,
     herm_eig,
-    mlog2,
     mpow,
 )
 from .optimize import FeasibleSet, MaximizeResult, sequential_linearization
@@ -121,21 +119,6 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(check_hermitian(rho, what="state"))
     lam = lam[lam > EIG_CLAMP]
     return float(-np.sum(lam * np.log2(lam)))
-
-
-def relative_entropy_variance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """V(rho||sigma) = Tr[rho (log rho - log sigma)^2] - D(rho||sigma)^2, bits^2."""
-    lam_s, U = herm_eig(sigma)
-    kernel = U[:, lam_s <= 1e-10]
-    if kernel.shape[1] and np.linalg.norm(kernel.conj().T @ rho @ kernel) > 1e-8:
-        raise DomainError("relative entropy variance requires supp rho <= supp sigma")
-    L = mlog2(rho) - mlog2(sigma)
-    mean = np.trace(rho @ L).real
-    second = np.trace(rho @ L @ L).real
-    v = second - mean**2
-    if v < -1e-9:
-        raise InvariantError(f"negative relative entropy variance {v}")
-    return max(v, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +233,7 @@ def solve_r_err(
 
 
 # ---------------------------------------------------------------------------
-# f_q factor and the alpha seed
+# f_q factor and the binary entropy
 # ---------------------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ carry the hash value z H and the remaining n-m qudits carry z Hbar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,17 @@ def enumerate_surjective_family(field: GaloisField, n: int, m: int) -> np.ndarra
         raise CapacityError(
             f"family enumeration size {total} exceeds {MAX_FAMILY_ENUM}"
         )
-    step = max(1, _ENUM_BLOCK // (n * m))
-    kept = []
+    family = np.empty((math.prod(field.q**n - field.q**i for i in range(m)), n, m), np.int64)
+    filled, step = 0, max(1, _ENUM_BLOCK // (n * m))
     for start in range(0, total, step):
         H = field.digits(np.arange(start, min(start + step, total)), n * m).reshape(-1, n, m)
-        kept.append(H[field.mat_rank(H) == m])
-    return np.concatenate(kept)
+        H = H[field.mat_rank(H) == m]
+        if filled + len(H) <= len(family):
+            family[filled:filled + len(H)] = H
+        filled += len(H)
+    if filled != len(family):
+        raise InvariantError(f"full-rank member count differs from {len(family)}")
+    return family
 
 
 def verify_two_universal(field: GaloisField, family, n: int, m: int):

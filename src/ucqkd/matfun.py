@@ -48,13 +48,6 @@ def eig_pow(lam: np.ndarray, U: np.ndarray, p: float) -> np.ndarray:
     return (U * vals) @ U.conj().T
 
 
-def mlog2(A: np.ndarray) -> np.ndarray:
-    """log2 of Hermitian PSD A on its support (0 log set to 0 off-support)."""
-    lam, U = herm_eig(A)
-    vals = np.where(lam > EIG_CLAMP, np.log2(np.maximum(lam, EIG_CLAMP)), 0.0)
-    return (U * vals) @ U.conj().T
-
-
 def frechet_derivative(f, fprime, lam: np.ndarray, U: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Frechet derivative of the matrix function f at A = U diag(lam) U^dag
     along C, on the eigenpairs (lam, U) the caller already holds:

@@ -305,8 +305,7 @@ def _finite_size_rate(analysis, p, n_tot):
     rng = np.random.default_rng([SWEEP_SEED, int(round(math.log10(n_tot)))])
     stats = b92.sample_observed(cfg, p, budget.log2_eps1, rng)
     if analysis == "universal":
-        rho = b92.depolarized_state(cfg, p)
-        res = b92.universal_key_length(cfg, stats, budget, rho_expected=rho)
+        res = b92.universal_key_length(cfg, stats, budget)
     else:
         res = b92.conventional_key_length(cfg, stats, budget)
     return res.net_key / n_tot

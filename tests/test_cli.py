@@ -87,6 +87,20 @@ def test_compress_sim_three_symbols_strict_json(tmp_path):
     assert all(math.isfinite(v) for point in doc["exponentCurve"] for v in point)
 
 
+def test_compress_sim_bounds_the_bins_it_simulates(tmp_path):
+    # --bins-log is rounded to m whole dits of hashing; the bound and the
+    # reported binsLog are those of the m dits simulated
+    docs = {}
+    for bins in ("1", "1.4", "0.6"):
+        out = tmp_path / f"rep{bins}.json"
+        assert main(["compress-sim", "--n", "3", "--alphabet", "2", "--bins-log", bins,
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        docs[bins] = (doc["metadata"]["binsLog"], doc["boundPerr"], doc["exactPerr"])
+    assert docs["1.4"] == docs["1"] and docs["0.6"] == docs["1"]
+    assert docs["1"][0] == 1.0
+
+
 def test_compress_sim_capacity_exit_code():
     assert main(["compress-sim", "--n", "9", "--bins-log", "1"]) == 3
 

@@ -17,7 +17,6 @@ from ucqkd.entropies import (
     conditional_renyi_direct,
     conditional_renyi_sibson,
     log2_fq_factor,
-    relative_entropy_variance,
     solve_delta1,
     solve_delta2,
     solve_r_err,
@@ -129,12 +128,6 @@ def test_sibson_order_sequence_matches_one_order_calls_bit_for_bit():
 def test_von_neumann_entropy_oracle():
     assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) <= 1e-12
     assert abs(von_neumann_entropy(np.diag([1.0, 0.0]))) <= 1e-12
-
-
-def test_relative_entropy_variance_zero_on_equal():
-    rng = np.random.default_rng(6)
-    rho = random_density(3, rng)
-    assert abs(relative_entropy_variance(rho, rho)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ucqkd import hashing
-from ucqkd.errors import UsageError
+from ucqkd.errors import InvariantError, UsageError
 from ucqkd.fields import GaloisField, field, mub_basis
 from ucqkd.hashing import (
     build_dual_quadruple,
@@ -83,6 +83,24 @@ def test_enumeration_matches_oracle_in_member_order(monkeypatch, p, r, n, m):
     ref = surjective_family(gf, n, m)
     assert fam.shape == (len(ref), n, m)
     assert np.array_equal(fam, np.array(ref))
+
+
+@pytest.mark.parametrize("miscount", [1, -1], ids=["too-many", "too-few"])
+def test_enumeration_count_mismatch_is_an_invariant_failure(monkeypatch, miscount):
+    # the family is filled into a stack of the known size prod_i (q^n - q^i);
+    # a rank test that keeps one member too many or too few must not pass
+    gf = field(2, 1)
+    real_rank = GaloisField.mat_rank
+
+    def off_by_one(self, A):
+        rank = np.array(real_rank(self, A))
+        i = np.flatnonzero(rank == 1 if miscount < 0 else rank < 1)[0]
+        rank[i] = 0 if miscount < 0 else 1
+        return rank
+
+    monkeypatch.setattr(GaloisField, "mat_rank", off_by_one)
+    with pytest.raises(InvariantError):
+        enumerate_surjective_family(gf, 3, 1)
 
 
 def test_toeplitz_samples_are_valid_members():
