@@ -43,13 +43,19 @@ def test_herm_eig_keeps_real_input_real():
     assert np.array_equal(lam_c, ref_lam) and np.array_equal(U_c, ref_U)
 
 
-def test_mpow_consistency():
+def test_mpow_mlog_consistency():
     rng = np.random.default_rng(0)
+    h = 1e-4
     for _ in range(10):
         d = int(rng.integers(2, 6))
         rho = random_density(d, rng) + 0.01 * np.eye(d)
         assert np.allclose(mpow(rho, 0.5) @ mpow(rho, 0.5), rho, atol=1e-10)
         assert np.allclose(mpow(rho, -1.0) @ rho, np.eye(d), atol=1e-8)
+        # d/dp rho^p at p = 0 is the matrix logarithm
+        lam, U = herm_eig(rho)
+        direct = U @ np.diag(np.log(lam)) @ U.conj().T
+        slope = (mpow(rho, h) - mpow(rho, -h)) / (2.0 * h)
+        assert np.allclose(slope, direct, atol=1e-6)
 
 
 def test_support_projector():
